@@ -157,7 +157,10 @@ def bench_soak_shaped(quick: bool) -> dict:
 
 def bench_soak_end_to_end(quick: bool) -> dict:
     schedules = 4 if quick else 12
-    cells = [("cht", 5, 2, 2500.0, 0, 6, None, i) for i in range(schedules)]
+    cells = [
+        dict(system="cht", n=5, clients=2, horizon=2500.0, seed=0, index=i)
+        for i in range(schedules)
+    ]
 
     t0 = time.perf_counter()
     serial = [_soak_cell(cell) for cell in cells]

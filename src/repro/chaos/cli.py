@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from ..analysis.parallel import default_workers, parallel_imap
 from .generator import ScheduleGenerator
@@ -36,20 +36,20 @@ from .shrink import run_artifact, save_artifact, shrink
 __all__ = ["main"]
 
 
-def _soak_cell(args: tuple) -> NemesisResult:
-    """One soak cell: generate schedule ``index`` and run it.
-
-    Module-level (picklable) and self-contained so it executes
-    identically in a forked worker and in the parent process.  Cells are
-    8-tuples historically; sharded soaks append ``(groups, handoffs)``,
-    then ``parallel_sim``, then ``durability``, then
-    ``num_leaseholders``, and older shorter-tuple callers keep working.
-    """
-    (system, n, clients, horizon, seed, ops_per_client, bug, index,
-     *rest) = args
-    groups, handoffs, parallel_sim, durability, num_leaseholders = (
-        *rest, 2, 1, False, False, 0
-    )[:5]
+def _build(
+    system: str,
+    n: int,
+    clients: int,
+    horizon: float,
+    seed: int,
+    ops_per_client: int = 6,
+    bug: Optional[str] = None,
+    groups: int = 2,
+    handoffs: int = 1,
+    durability: bool = False,
+    num_leaseholders: int = 0,
+) -> tuple[ScheduleGenerator, NemesisRunner]:
+    """The schedule generator and nemesis runner of one soak config."""
     generator = ScheduleGenerator(
         n=n, num_clients=clients, horizon=horizon, seed=seed,
         durability=durability, num_leaseholders=num_leaseholders,
@@ -62,9 +62,22 @@ def _soak_cell(args: tuple) -> NemesisResult:
     runner = NemesisRunner(
         system=system, n=n, num_clients=clients, seed=seed, horizon=horizon,
         ops_per_client=ops_per_client, bug=bug,
-        groups=groups, handoffs=handoffs, parallel_sim=parallel_sim,
+        groups=groups, handoffs=handoffs,
         durability=durability, num_leaseholders=num_leaseholders,
     )
+    return generator, runner
+
+
+def _soak_cell(cell: dict[str, Any]) -> NemesisResult:
+    """One soak cell: generate schedule ``cell["index"]`` and run it.
+
+    ``cell`` holds the schedule ``index`` plus :func:`_build`'s keyword
+    arguments.  Module-level (picklable) and self-contained so it
+    executes identically in a forked worker and in the parent process.
+    """
+    config = dict(cell)
+    index = config.pop("index")
+    generator, runner = _build(**config)
     return runner.run(generator.generate(index))
 
 
@@ -92,10 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--handoffs", type=int, default=1,
                       help="fenced handoffs fired mid-schedule per "
                            "sharded run (system=sharded)")
-    soak.add_argument("--parallel-sim", action="store_true",
-                      help="simulate each shard group in its own worker "
-                           "process (system=sharded; verdicts identical "
-                           "to the serial backend)")
     soak.add_argument("--durability", action="store_true",
                       help="attach in-sim durable storage to every CHT "
                            "replica and add crash-restart + storage-fault "
@@ -144,12 +153,15 @@ def _soak(args: argparse.Namespace) -> int:
     undecided = 0
     for system in systems:
         sys_undecided = 0
+        config = dict(
+            system=system, n=args.n, clients=args.clients,
+            horizon=args.horizon, seed=args.seed,
+            ops_per_client=args.ops_per_client, bug=args.bug,
+            groups=args.groups, handoffs=args.handoffs,
+            durability=args.durability, num_leaseholders=args.leaseholders,
+        )
         cells = [
-            (system, args.n, args.clients, args.horizon, args.seed,
-             args.ops_per_client, args.bug, index, args.groups,
-             args.handoffs, args.parallel_sim, args.durability,
-             args.leaseholders)
-            for index in range(args.schedules)
+            dict(config, index=index) for index in range(args.schedules)
         ]
         # Stream verdicts in index order; workers simulate+verify ahead.
         # Breaking out on the first failure terminates outstanding work,
@@ -177,25 +189,7 @@ def _soak(args: argparse.Namespace) -> int:
             )
             # Shrinking replays mutated schedules serially in this
             # process; rebuild the failing cell's generator and runner.
-            # Always on the serial backend: verdicts are identical, and
-            # a tight mutate-replay loop has no use for fork overhead.
-            generator = ScheduleGenerator(
-                n=args.n, num_clients=args.clients, horizon=args.horizon,
-                seed=args.seed, durability=args.durability,
-                num_leaseholders=args.leaseholders,
-                leaseholder_base=(
-                    args.n + args.clients + 1
-                    if system == "sharded" else None
-                ),
-            )
-            runner = NemesisRunner(
-                system=system, n=args.n, num_clients=args.clients,
-                seed=args.seed, horizon=args.horizon,
-                ops_per_client=args.ops_per_client, bug=args.bug,
-                groups=args.groups, handoffs=args.handoffs,
-                durability=args.durability,
-                num_leaseholders=args.leaseholders,
-            )
+            generator, runner = _build(**config)
             schedule = generator.generate(index)
             print(
                 f"shrinking ({schedule.fault_count()} fault entries)...",

@@ -674,11 +674,11 @@ class ChtReplica(LocalReadMixin, Process):
                 return None  # keep accumulating
         cap = self.config.max_batch_size
         if cap and len(self.submit_queue) > cap:
-            # Take the oldest ``cap`` submissions (op-id order is the
-            # deterministic in-batch application order, so it doubles as
-            # the fairness order here); the rest stay queued and anchor
-            # a fresh accumulation window.
-            take = sorted(self.submit_queue)[:cap]
+            # Take the oldest ``cap`` submissions in arrival order (the
+            # dict's insertion order), so no session can starve behind
+            # lower op ids; the rest stay queued and anchor a fresh
+            # accumulation window.
+            take = list(self.submit_queue)[:cap]
             queued = {op_id: self.submit_queue.pop(op_id) for op_id in take}
             self._queue_since = self.local_time if window else None
         else:

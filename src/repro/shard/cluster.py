@@ -1,4 +1,4 @@
-"""The serial multi-group façade over one shared simulator.
+"""The multi-group façade over one shared simulator.
 
 A :class:`ShardedCluster` runs *G* independent CHT groups over **one**
 shared simulator, so their events interleave in a single deterministic
@@ -10,15 +10,10 @@ observability is on, one :class:`~repro.obs.spans.ObsContext` where the
 ``site`` label ``"g0" / "g1" / ...`` keeps their telemetry apart, since
 pids repeat across groups).
 
-Routing and handoffs no longer reach into sibling groups directly:
-the shard map, the routers' driving tasks, and the fenced handoff
-coordinator all live on a :class:`~repro.shard.transport.ControlPlane`,
-which talks to each group's :class:`~repro.shard.transport.GroupPort`
-through a :class:`~repro.shard.transport.LocalTransport`.  The
-parallel façade (:class:`~repro.shard.parallel.ParallelShardedCluster`)
-reuses the same control plane over a mailbox transport, which is what
-makes this serial path the byte-exact determinism oracle for parallel
-runs.
+The shard map, the routers' driving tasks, and the fenced handoff
+coordinator live on a :class:`~repro.shard.control.ControlPlane`, whose
+host process runs on the same shared simulator and submits routed
+operations straight into the target group's client sessions.
 
 Handoff of a slot range from group ``src`` to ``dst`` is three steps,
 each fenced by the map version it carries:
@@ -52,12 +47,11 @@ from ..core.config import ChtConfig
 from ..objects.spec import ObjectSpec
 from ..obs.spans import ObsContext
 from ..sim.core import Simulator
-from ..sim.latency import DelayModel
 from ..sim.tasks import Future
+from .control import ControlPlane
 from .map import ShardMap
 from .router import Router
 from .spec import ShardedSpec
-from .transport import ControlPlane, GroupPort, LocalTransport
 
 __all__ = ["ShardedCluster"]
 
@@ -76,9 +70,7 @@ class ShardedCluster:
         obs: bool = False,
         gst: float = 0.0,
         monitors: bool = True,
-        transport_delay: Optional[DelayModel] = None,
         group_setup: Optional[Callable[[ChtCluster, int], None]] = None,
-        on_started: Optional[Callable[[ChtCluster, int], None]] = None,
         num_leaseholders: int = 0,
     ) -> None:
         if num_groups < 1:
@@ -100,28 +92,14 @@ class ShardedCluster:
         self.obs: Optional[ObsContext] = (
             ObsContext(self.sim) if obs else None
         )
-        # The control plane is built first so its un-namespaced rng
-        # streams ("network", "process-0", "transport") match the
-        # parallel façade, where it is alone on the parent simulator.
-        self._transport = LocalTransport(transport_delay)
-        self.control = ControlPlane(
-            self.sim,
-            self._transport,
-            ShardMap.uniform(num_slots, num_groups),
-            num_groups,
-            num_clients,
-            delta=self.config.delta,
-            obs=self.obs,
-        )
+        shard_map = ShardMap.uniform(num_slots, num_groups)
         # Per group: ``num_clients`` router-facing sessions plus one
         # extra session (the last) reserved as the handoff coordinator,
         # so freeze/install never contend with a workload session's
         # one-outstanding-RMW limit.
-        self.groups: list[ChtCluster] = []
-        self.ports: list[GroupPort] = []
-        for g in range(num_groups):
-            group = ChtCluster(
-                ShardedSpec(spec, num_slots, self.control.map.slots_of(g)),
+        self.groups: list[ChtCluster] = [
+            ChtCluster(
+                ShardedSpec(spec, num_slots, shard_map.slots_of(g)),
                 self.config,
                 sim=self.sim,
                 site=f"g{g}",
@@ -131,12 +109,17 @@ class ShardedCluster:
                 monitors=monitors,
                 num_leaseholders=num_leaseholders,
             )
-            self.groups.append(group)
-            self.ports.append(
-                GroupPort(g, group, self._transport, self.config.delta)
-            )
+            for g in range(num_groups)
+        ]
+        self.control = ControlPlane(
+            self.sim,
+            self.groups,
+            shard_map,
+            num_clients,
+            delta=self.config.delta,
+            obs=self.obs,
+        )
         self._group_setup = group_setup
-        self._on_started = on_started
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -151,24 +134,18 @@ class ShardedCluster:
         return self.control.handoffs
 
     def start(self) -> "ShardedCluster":
-        # Hook order matches the parallel workers' per-group sequence
-        # (setup, start, on_started), so a group's own event order is
-        # identical under both façades.
         if self._group_setup is not None:
             for g, group in enumerate(self.groups):
                 self._group_setup(group, g)
         for group in self.groups:
             group.start()
-        if self._on_started is not None:
-            for g, group in enumerate(self.groups):
-                self._on_started(group, g)
         return self
 
     def run(self, duration: float) -> None:
         self.sim.run_for(duration)
 
     def run_to(self, until: float) -> None:
-        """Run to an absolute simulation time (parallel-façade parity)."""
+        """Run to an absolute simulation time."""
         self.sim.run(until=until)
 
     def run_until(
@@ -191,9 +168,6 @@ class ShardedCluster:
             raise TimeoutError(
                 f"groups {missing} elected no leader within {timeout}"
             )
-
-    def close(self) -> None:
-        """Serial runs hold no external resources; parity no-op."""
 
     # ------------------------------------------------------------------
     # Clients
@@ -245,8 +219,6 @@ class ShardedCluster:
     def invariant_failures(self) -> dict[str, str]:
         """Per-site I2/I3 violation details; empty when all groups pass.
 
-        Same shape as the parallel façade's query-backed version, so the
-        nemesis renders identical invariant verdicts under both backends.
         Groups running with a durability layer additionally get their
         durable footprints audited (reload-as-a-restart-would + durable
         I1/I2); the audit is a no-op for groups without one.

@@ -5,9 +5,9 @@ A :class:`Router` is the sharded counterpart of one
 control host, caches the control plane's shard map, and for each
 submitted operation:
 
-1. routes it — via the control plane's transport — to its client-session
-   index at the group its cached map names for the operation's
-   ``partition_key``;
+1. routes it — through the control plane, straight into the group's
+   session — to its client-session index at the group its cached map
+   names for the operation's ``partition_key``;
 2. waits for that group's *committed* reply;
 3. on :class:`~repro.shard.spec.WrongShard`, refreshes the map, backs
    off (exponentially, ``retry_backoff`` doubling up to
@@ -62,13 +62,12 @@ class RoutingError(RuntimeError):
 
 
 class Router:
-    """A client-side router over one sharded cluster façade.
+    """A client-side router over one :class:`~repro.shard.cluster.ShardedCluster`.
 
-    The façade (serial or parallel) provides ``control`` (the
-    :class:`~repro.shard.transport.ControlPlane`), ``inner_spec``,
-    ``config``, ``map``, and ``obs``; the router itself never touches a
-    group object, which is what lets it run unchanged when the groups
-    live in worker processes.
+    The cluster provides ``control`` (the
+    :class:`~repro.shard.control.ControlPlane`), ``inner_spec``,
+    ``config``, ``map``, and ``obs``; the router reaches groups only
+    through :meth:`ControlPlane.submit`.
     """
 
     def __init__(
@@ -112,7 +111,7 @@ class Router:
             raise ValueError("max_redirects must be at least 1")
         self.max_redirects = max_redirects
         # Generators driving routed operations run on the control host's
-        # task scheduler; they only touch futures and the transport.
+        # task scheduler; they only touch futures and the control plane.
         self._host = cluster.control.host
         self._count = 0
         self._outstanding_rmw: Future | None = None

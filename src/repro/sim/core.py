@@ -35,13 +35,6 @@ from typing import Any, Callable, Iterable, Optional
 
 __all__ = ["Event", "Simulator", "SimulationError"]
 
-#: Base for front-of-time sequence numbers (:meth:`Simulator.call_at_front`).
-#: Normal events count up from 0, so anything at or above this base but
-#: still negative sorts ahead of every normal event at the same time while
-#: keeping FIFO order among front events themselves.
-_FRONT_SEQ_BASE = -(1 << 62)
-
-
 class SimulationError(RuntimeError):
     """Raised when the simulation is driven into an illegal configuration."""
 
@@ -91,7 +84,6 @@ class Simulator:
         self.rng = random.Random(seed)
         self._heap: list[tuple] = []
         self._seq = itertools.count()
-        self._front_seq = _FRONT_SEQ_BASE
         self._alive: set[int] = set()
         self._fork_counts: dict[str, int] = {}
         self._events_processed = 0
@@ -164,28 +156,6 @@ class Simulator:
         self._alive.add(seq)
         if len(heap) > 512 and len(heap) > 2 * len(self._alive):
             self._compact()
-
-    def call_at_front(self, time: float, callback: Callable[..., None],
-                      *args: Any) -> None:
-        """Schedule ``callback`` at ``time``, ahead of every normally
-        scheduled event with the same timestamp.
-
-        Used by the parallel backend's inbox: a cross-partition message
-        timestamped ``T`` must run before the receiving simulator's own
-        events at ``T``, because in the single-simulator oracle the
-        message was scheduled by a sender running strictly before ``T``
-        and therefore carries a smaller sequence number than anything
-        the receiver schedules once ``T`` is reached.  Front events keep
-        FIFO order among themselves.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time}, current time is {self.now}"
-            )
-        seq = self._front_seq
-        self._front_seq = seq + 1
-        heapq.heappush(self._heap, (time, seq, callback, args))
-        self._alive.add(seq)
 
     def call_later(self, delay: float, callback: Callable[..., None],
                    *args: Any) -> None:
@@ -282,9 +252,8 @@ class Simulator:
         exclusive:
             Process events strictly *before* ``until`` and leave events at
             exactly ``until`` on the heap (the clock still advances to
-            ``until``).  The parallel backend runs each sync window
-            exclusively so boundary-timestamped events fall into the next
-            window, after that window's cross-partition ingest.
+            ``until``), so consecutive exclusive windows compose into
+            one inclusive run.
         """
         processed = 0
         self._stopped = False
@@ -344,22 +313,6 @@ class Simulator:
         """Scheduled events that are neither fired nor cancelled.  O(1)."""
         return len(self._alive)
 
-    def next_event_time(self) -> float:
-        """Timestamp of the earliest live event, or ``+inf`` when idle.
-
-        Tombstones encountered at the heap top are discarded on the way
-        (they are dead weight the next pop would skip anyway), so the
-        peek is amortized O(1).  The parallel backend's adaptive window
-        sync (:mod:`repro.sim.parallel`) uses this as the base of each
-        partition's earliest-output-time promise.
-        """
-        heap = self._heap
-        alive = self._alive
-        pop = heapq.heappop
-        while heap and heap[0][1] not in alive:
-            pop(heap)
-        return heap[0][0] if heap else math.inf
-
     def fork_rng(self, label: str, site: Optional[str] = None) -> random.Random:
         """Derive an independent, deterministic RNG stream for a component.
 
@@ -370,10 +323,9 @@ class Simulator:
         component's randomness.
 
         ``site`` namespaces the label (``"{site}/{label}"``).  Sharded
-        clusters pass each group's site so a group's streams are the same
-        whether all groups share one simulator (the serial oracle) or each
-        group runs on its own simulator (the parallel backend) — without
-        it, fork *counts* for a shared label would entangle the groups.
+        clusters pass each group's site so a group's streams depend only
+        on its own forks — without it, fork *counts* for a shared label
+        would entangle the groups on their shared simulator.
         """
         if site is not None:
             label = f"{site}/{label}"

@@ -100,7 +100,7 @@ def test_negative_max_batch_size_rejected():
 
 def test_batch_cap_splits_bursts_and_loses_nothing():
     """max_batch_size caps every committed batch; excess submissions stay
-    queued and commit later in op-id order, so the same operations land
+    queued and commit later in arrival order, so the same operations land
     either way — just across more batches."""
     def run(cap):
         cluster = ChtCluster(
@@ -127,3 +127,24 @@ def test_batch_cap_splits_bursts_and_loses_nothing():
     assert max(capped) <= 2
     assert max(unbounded) > 2
     assert len(capped) > len(unbounded)
+
+
+def test_batch_cap_takes_submissions_in_arrival_order():
+    """Under a cap, the next batch holds the *oldest* submissions: a
+    high-pid op queued first must not starve behind later low-pid ops."""
+    from repro.objects.spec import OpInstance
+
+    cluster = ChtCluster(
+        KVStoreSpec(), ChtConfig(n=3, max_batch_size=2), seed=7
+    )
+    cluster.start()
+    leader = cluster.run_until_leader()
+    cluster.run_until(lambda: not leader.submit_queue, timeout=5_000.0)
+    first = OpInstance((99, 1), put("late-pid", 0))
+    leader._enqueue_submission(first)
+    for seq in range(1, 4):
+        leader._enqueue_submission(OpInstance((0, 100 + seq), put("x", seq)))
+    batch = leader._drain_queue()
+    assert batch is not None and len(batch) == 2
+    assert first in batch
+    assert OpInstance((0, 101), put("x", 1)) in batch

@@ -1,7 +1,7 @@
 """The runtime seam: sim path unchanged, runtime= path equivalent.
 
 The heavyweight byte-identical pins live in the determinism suites
-(tests/shard/test_parallel_determinism.py and friends), which run the
+(tests/durable/test_determinism.py and friends), which run the
 refactored Process over :class:`SimRuntime` and compare full event
 traces.  This file pins the seam's local contracts:
 

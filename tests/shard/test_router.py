@@ -56,6 +56,26 @@ def test_routes_by_key_to_the_owning_group():
     assert await_op(cluster, router.submit(get(KEY_IN_SLOT[1]))) == "b"
 
 
+def test_routed_write_costs_no_more_than_a_direct_session_write():
+    """Routing adds no hops: on an idle cluster a routed write commits
+    with the same sim latency as a write submitted straight to a session
+    of the owning group."""
+    cluster = make_cluster(num_clients=2)
+    cluster.run(1_000.0)
+
+    def latency(submit):
+        t0 = cluster.sim.now
+        await_op(cluster, submit())
+        elapsed = cluster.sim.now - t0
+        cluster.run(500.0)  # back to idle before the next probe
+        return elapsed
+
+    group = cluster.groups[0]
+    direct = latency(lambda: group.clients[1].submit(put(KEY_IN_SLOT[2], 1)))
+    routed = latency(lambda: cluster.router(0).submit(put(KEY_IN_SLOT[0], 1)))
+    assert routed == pytest.approx(direct, abs=cluster.config.delta / 2)
+
+
 def test_stale_router_chases_wrong_shard_to_the_new_owner():
     cluster = make_cluster()
     router = cluster.router(0)

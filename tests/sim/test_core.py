@@ -355,8 +355,7 @@ def test_fork_rng_independent_of_fork_order():
 def test_fork_rng_site_namespacing():
     # A sited fork is its own stream -- distinct from the bare label and
     # from other sites -- but identical across simulators with the same
-    # seed, which is what lets a group's stream match between a shared
-    # simulator and a dedicated per-group one.
+    # seed, so a group's streams do not depend on its siblings' forks.
     a = Simulator(seed=5)
     bare = a.fork_rng("network").random()
     g0 = a.fork_rng("network", site="g0").random()
@@ -365,27 +364,6 @@ def test_fork_rng_site_namespacing():
 
     b = Simulator(seed=5)
     assert b.fork_rng("network", site="g0").random() == g0
-
-
-def test_call_at_front_runs_before_same_time_events():
-    sim = Simulator()
-    order = []
-    sim.schedule_at(5.0, lambda: order.append("normal"))
-    sim.call_at_front(5.0, lambda: order.append("front-a"))
-    sim.call_at_front(5.0, lambda: order.append("front-b"))
-    sim.schedule_at(4.0, lambda: order.append("earlier"))
-    sim.run()
-    # Front events beat normal events at the same instant, FIFO among
-    # themselves, and never jump ahead of strictly earlier events.
-    assert order == ["earlier", "front-a", "front-b", "normal"]
-
-
-def test_call_at_front_rejects_the_past():
-    sim = Simulator()
-    sim.schedule_at(10.0, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.call_at_front(5.0, lambda: None)
 
 
 def test_exclusive_run_leaves_boundary_events_pending():
