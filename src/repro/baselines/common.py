@@ -48,15 +48,13 @@ class BaseReplica(Process):
     def __init__(
         self,
         pid: int,
-        sim: Simulator,
         net: Network,
-        clocks: ClockModel,
         spec: ObjectSpec,
         n: int,
         stats: RunStats,
         retry_period: float,
     ) -> None:
-        super().__init__(pid, sim, net, clocks)
+        super().__init__(pid, net)
         self.spec = spec
         self.n = n
         self.majority = n // 2 + 1
@@ -90,9 +88,9 @@ class BaseReplica(Process):
         instance = OpInstance(op_id, op)
         future = Future()
         self.op_futures[op_id] = future
-        self.stats.invoke(op_id, self.pid, kind, op, self.sim.now)
+        self.stats.invoke(op_id, self.pid, kind, op, self.now)
         future.on_resolve(
-            lambda value: self.stats.respond(op_id, value, self.sim.now)
+            lambda value: self.stats.respond(op_id, value, self.now)
         )
         obs = self.obs
         if obs is not None:
@@ -206,6 +204,7 @@ class BaseCluster:
             post_gst_delay=post_gst_delay,
             pre_gst_delay=pre_gst_delay,
             pre_gst_drop_prob=pre_gst_drop_prob,
+            clocks=self.clocks,
         )
         # As in ChtCluster: the context must exist before the replicas,
         # which cache ``sim.obs`` at construction.
@@ -219,9 +218,7 @@ class BaseCluster:
         self.clients: list[ClientSession] = [
             ClientSession(
                 n + i,
-                self.sim,
                 self.net,
-                self.clocks,
                 spec,
                 n,
                 self.stats,

@@ -20,7 +20,7 @@ per-process session state, matching how Megastore consults it out of band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from ..leader.omega import HeartbeatOmega
 from ..objects.spec import OpInstance
@@ -372,9 +372,7 @@ class MegastoreCluster(BaseCluster):
     def build_replica(self, pid: int, **kwargs: Any) -> MegastoreReplica:
         return MegastoreReplica(
             pid,
-            self.sim,
             self.net,
-            self.clocks,
             self.spec,
             self.n,
             self.stats,

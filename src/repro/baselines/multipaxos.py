@@ -438,9 +438,7 @@ class PaxosCluster(BaseCluster):
     def build_replica(self, pid: int, **kwargs: Any) -> PaxosReplica:
         return PaxosReplica(
             pid,
-            self.sim,
             self.net,
-            self.clocks,
             self.spec,
             self.n,
             self.stats,

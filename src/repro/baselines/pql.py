@@ -25,11 +25,10 @@ guard to run out) before committing, mirroring the revocation protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from ..objects.spec import OpInstance
 from ..sim.tasks import Future
-from .common import BaseCluster
 from .multipaxos import P2a, PaxosCluster, PaxosReplica
 
 __all__ = ["PQLReplica", "PQLCluster"]
@@ -249,9 +248,7 @@ class PQLCluster(PaxosCluster):
     def build_replica(self, pid: int, **kwargs: Any) -> PQLReplica:
         return PQLReplica(
             pid,
-            self.sim,
             self.net,
-            self.clocks,
             self.spec,
             self.n,
             self.stats,

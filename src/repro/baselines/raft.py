@@ -433,9 +433,7 @@ class RaftCluster(BaseCluster):
     def build_replica(self, pid: int, **kwargs: Any) -> RaftReplica:
         return RaftReplica(
             pid,
-            self.sim,
             self.net,
-            self.clocks,
             self.spec,
             self.n,
             self.stats,

@@ -101,7 +101,7 @@ class SpannerReplica(BaseReplica):
             raise ValueError(f"unknown read mode {read_mode!r}")
         self.read_mode = read_mode
         self.omega = HeartbeatOmega(self, heartbeat_period, heartbeat_timeout)
-        self.truetime = TrueTimeClock(self.clocks[self.pid], uncertainty)
+        self.truetime = TrueTimeClock(self._clock, uncertainty)
         self.log: dict[int, tuple[float, OpInstance]] = {}
         self.committed = 0
         self.next_seq = 1
@@ -116,7 +116,7 @@ class SpannerReplica(BaseReplica):
         self.commit_waits: list[float] = []  # measured commit-wait durations
 
     def tt_now(self) -> tuple[float, float]:
-        return self.truetime.now(self.sim.now)
+        return self.truetime.now(self.now)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -360,9 +360,7 @@ class SpannerCluster(BaseCluster):
         )
         return SpannerReplica(
             pid,
-            self.sim,
             self.net,
-            self.clocks,
             self.spec,
             self.n,
             self.stats,

@@ -383,9 +383,7 @@ class VRCluster(BaseCluster):
     def build_replica(self, pid: int, **kwargs: Any) -> VRReplica:
         return VRReplica(
             pid,
-            self.sim,
             self.net,
-            self.clocks,
             self.spec,
             self.n,
             self.stats,

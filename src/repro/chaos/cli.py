@@ -50,20 +50,16 @@ def _build(
     num_leaseholders: int = 0,
 ) -> tuple[ScheduleGenerator, NemesisRunner]:
     """The schedule generator and nemesis runner of one soak config."""
-    generator = ScheduleGenerator(
-        n=n, num_clients=clients, horizon=horizon, seed=seed,
-        durability=durability, num_leaseholders=num_leaseholders,
-        # Sharded groups run one extra (coordinator) session, which
-        # shifts where the leaseholder tier's pids start.
-        leaseholder_base=(
-            n + clients + 1 if system == "sharded" else None
-        ),
-    )
     runner = NemesisRunner(
         system=system, n=n, num_clients=clients, seed=seed, horizon=horizon,
         ops_per_client=ops_per_client, bug=bug,
         groups=groups, handoffs=handoffs,
         durability=durability, num_leaseholders=num_leaseholders,
+    )
+    generator = ScheduleGenerator(
+        n=n, num_clients=clients, horizon=horizon, seed=seed,
+        durability=durability, num_leaseholders=num_leaseholders,
+        leaseholder_base=runner.leaseholder_base,
     )
     return generator, runner
 

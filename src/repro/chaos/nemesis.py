@@ -154,6 +154,11 @@ class NemesisRunner:
                 "multipaxos baseline does not implement them"
             )
         self.num_leaseholders = num_leaseholders
+        # First leaseholder pid of every cluster this runner builds: the
+        # tier sits above the replicas and client sessions, and each
+        # sharded group runs one extra (coordinator) session below it.
+        coordinators = 1 if system == "sharded" else 0
+        self.leaseholder_base = n + num_clients + coordinators
         # Sharded runs only: group count and how many fenced handoffs the
         # runner fires while the fault schedule is playing out.
         self.groups = groups

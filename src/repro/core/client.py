@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 from ..objects.spec import ObjectSpec, Operation
+from ..net.runtime import Runtime
 from ..obs.spans import ObsContext
 from ..sim.clocks import ClockModel
 from ..sim.core import Simulator
@@ -32,7 +33,7 @@ from ..sim.network import Network
 from ..sim.process import Process
 from ..sim.tasks import Future, Until
 from ..sim.trace import RunStats
-from ..leader.omega import OmegaDetector, OracleOmega
+from ..leader.omega import OracleOmega
 from ..verify.history import History
 from ..verify.invariants import BatchMonitor, LeaderIntervalMonitor
 from .config import ChtConfig
@@ -70,22 +71,18 @@ class ClientSession(Process):
     def __init__(
         self,
         pid: int,
-        sim: Optional[Simulator] = None,
-        net: Optional[Network] = None,
-        clocks: Optional[ClockModel] = None,
-        spec: ObjectSpec = None,
-        n: int = 0,
-        stats: Optional[RunStats] = None,
-        retry_period: float = 0.0,
-        site: Optional[str] = None,
+        runtime: Runtime,
+        spec: ObjectSpec,
+        n: int,
+        stats: RunStats,
+        retry_period: float,
         read_targets: Optional[Sequence[int]] = None,
-        runtime: Optional[Any] = None,
     ) -> None:
         if pid < n:
             raise ValueError("client session pids must lie above the replicas")
-        if spec is None or stats is None or retry_period <= 0:
-            raise ValueError("spec, stats, and retry_period are required")
-        super().__init__(pid, sim, net, clocks, site=site, runtime=runtime)
+        if retry_period <= 0:
+            raise ValueError("retry_period must be positive")
+        super().__init__(pid, runtime)
         self.spec = spec
         self.n = n
         self.stats = stats
@@ -212,6 +209,7 @@ class ChtCluster:
             pre_gst_delay=pre_gst_delay,
             pre_gst_drop_prob=pre_gst_drop_prob,
             site=site,
+            clocks=self.clocks,
         )
         # Observability opts in per cluster (``obs=True``), or arrives as a
         # shared, already-attached ObsContext in multi-group runs.  Either
@@ -273,14 +271,11 @@ class ChtCluster:
         self.clients: list[ClientSession] = [
             ClientSession(
                 self.config.n + i,
-                self.sim,
                 self.net,
-                self.clocks,
                 self.spec,
                 self.config.n,
                 self.stats,
                 retry_period=self.config.retry_period,
-                site=site,
                 read_targets=_read_targets(i),
             )
             for i in range(num_clients)
@@ -288,13 +283,10 @@ class ChtCluster:
         self.leaseholders: list[Leaseholder] = [
             Leaseholder(
                 pid,
-                self.sim,
                 self.net,
-                self.clocks,
                 self.spec,
                 self.config,
                 stats=self.stats,
-                site=site,
             )
             for pid in leaseholder_pids
         ]
@@ -305,15 +297,12 @@ class ChtCluster:
     def _build_replica(self, pid: int) -> ChtReplica:
         replica = ChtReplica(
             pid,
-            self.sim,
             self.net,
-            self.clocks,
             self.spec,
             self.config,
             stats=self.stats,
             leader_monitor=self.leader_monitor,
             batch_monitor=self.batch_monitor,
-            site=self.site,
         )
         if self._omega_factory is not None:
             replica.leader_service.omega = self._omega_factory(replica)

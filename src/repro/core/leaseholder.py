@@ -42,10 +42,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Generator, Optional
 
-from ..objects.spec import ObjectSpec, Operation
-from ..sim.clocks import ClockModel
-from ..sim.core import Simulator
-from ..sim.network import Network
+from ..objects.spec import ObjectSpec
+from ..net.runtime import Runtime
 from ..sim.process import Process
 from ..sim.tasks import Until
 from ..sim.trace import RunStats
@@ -53,7 +51,6 @@ from .config import ChtConfig
 from .messages import (
     BatchReply,
     BatchRequest,
-    ClientReply,
     ClientRequest,
     Commit,
     LeaseGrant,
@@ -80,24 +77,18 @@ class Leaseholder(LocalReadMixin, Process):
     def __init__(
         self,
         pid: int,
-        sim: Optional[Simulator] = None,
-        net: Optional[Network] = None,
-        clocks: Optional[ClockModel] = None,
-        spec: ObjectSpec = None,
-        config: ChtConfig = None,
+        runtime: Runtime,
+        spec: ObjectSpec,
+        config: ChtConfig,
         stats: Optional[RunStats] = None,
-        site: Optional[str] = None,
-        runtime: Optional[Any] = None,
     ) -> None:
-        if spec is None or config is None:
-            raise ValueError("spec and config are required")
         if pid < config.n:
             raise ValueError("leaseholder pids must lie above the replicas")
-        super().__init__(pid, sim, net, clocks, site=site, runtime=runtime)
+        super().__init__(pid, runtime)
         self.spec = spec
         self.config = config
         self.stats = stats if stats is not None else RunStats()
-        self._site_label = {} if site is None else {"site": site}
+        self._site_label = {} if self.site is None else {"site": self.site}
         self.bug_switches: set[str] = set()
 
         # --- stable state (survives crashes) --------------------------

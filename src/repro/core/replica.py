@@ -34,14 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Generator, Optional
 
 from ..durable.layer import SEQ_RESERVE_BLOCK, ReplicaDurability
 from ..durable.wal import BatchRec, EstimateRec, PromiseRec, SeqReserve, SnapRecord
 from ..objects.spec import NOOP, ObjectSpec, Operation, OpInstance
-from ..sim.clocks import ClockModel
-from ..sim.core import Simulator
-from ..sim.network import Network
+from ..net.runtime import Runtime
 from ..sim.process import Process
 from ..sim.tasks import Future, Sleep, Until
 from ..sim.trace import RunStats
@@ -99,21 +97,15 @@ class ChtReplica(LocalReadMixin, Process):
     def __init__(
         self,
         pid: int,
-        sim: Optional[Simulator] = None,
-        net: Optional[Network] = None,
-        clocks: Optional[ClockModel] = None,
-        spec: ObjectSpec = None,
-        config: ChtConfig = None,
+        runtime: Runtime,
+        spec: ObjectSpec,
+        config: ChtConfig,
         stats: Optional[RunStats] = None,
         omega: Optional[OmegaDetector] = None,
         leader_monitor: Optional[LeaderIntervalMonitor] = None,
         batch_monitor: Optional[BatchMonitor] = None,
-        site: Optional[str] = None,
-        runtime: Optional[Any] = None,
     ) -> None:
-        if spec is None or config is None:
-            raise ValueError("spec and config are required")
-        super().__init__(pid, sim, net, clocks, site=site, runtime=runtime)
+        super().__init__(pid, runtime)
         self.spec = spec
         self.config = config
         self.stats = stats if stats is not None else RunStats()
@@ -121,7 +113,7 @@ class ChtReplica(LocalReadMixin, Process):
         # Extra metric/span labels in multi-group runs (pids collide
         # across groups); empty — so metric names stay unchanged — in
         # ordinary single-group runs.
-        self._site_label = {} if site is None else {"site": site}
+        self._site_label = {} if self.site is None else {"site": self.site}
 
         detector = omega or HeartbeatOmega(
             self, config.heartbeat_period, config.heartbeat_timeout

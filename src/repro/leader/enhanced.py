@@ -28,7 +28,7 @@ storage so the rule survives crash-recovery.
 Runtime independence: this service touches its host only through the
 :class:`~repro.sim.process.Process` surface (``local_time``, ``send``,
 ``every``, ``stable``, ``obs``), i.e. the
-:class:`~repro.net.runtime.Runtime` seam — so the identical class runs
+:class:`~repro.net.runtime.Runtime` contract — so the identical class runs
 on the simulator and on the asyncio TCP backend.  EL1's safety depends
 only on local-clock skew being bounded by the configured epsilon (real
 deployments: one machine clock, or NTP-bounded skew), never on the

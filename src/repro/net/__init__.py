@@ -1,24 +1,23 @@
 """Real-network runtime package.
 
-``repro.net`` holds the runtime-abstraction seam (:mod:`.runtime`) and
-the asyncio TCP substrate (:mod:`.asyncio_rt`), plus the thin
+``repro.net`` holds the runtime contract (:mod:`.runtime`) and the
+asyncio TCP substrate (:mod:`.asyncio_rt`), plus the thin
 production path on top of it: cluster config (:mod:`.config`), the
 replica/leaseholder server entrypoint (``python -m repro.net.server``),
 the real KV client (:mod:`.client`), and a subprocess cluster launcher
 (:mod:`.launch`).  See docs/NETWORK.md.
 
-Only the seam is imported eagerly — :class:`~repro.net.runtime.SimRuntime`
-sits on the simulator's process hot path, so this module must stay
-import-light.  Everything network-facing loads lazily.
+Only the contract is imported eagerly — the simulator's
+:class:`~repro.sim.network.Network` implements it, so this module must
+stay import-light.  Everything network-facing loads lazily.
 """
 
 from __future__ import annotations
 
-from .runtime import Runtime, SimRuntime, TimerHandle, label_rng
+from .runtime import Runtime, TimerHandle, label_rng
 
 __all__ = [
     "Runtime",
-    "SimRuntime",
     "TimerHandle",
     "label_rng",
     "AsyncioRuntime",

@@ -237,22 +237,18 @@ class AsyncioRuntime(Runtime):
     def local_clock(self, pid: int):
         return IDENTITY_CLOCK
 
-    def real_for_local(self, pid: int, local: float) -> float:
-        return local
-
     def attach_obs(self, obs: Any) -> None:
         """ObsContext clock-source hook (mirrors ``Simulator.attach_obs``)."""
         self.obs = obs
 
-    def fork_rng(self, label: str, site: Optional[str] = None) -> random.Random:
+    def fork_rng(self, label: str) -> random.Random:
         # Same semantics as Simulator.fork_rng: the k-th call for a
         # label yields stream (seed, label, k) — repeated forks are
         # independent, and an identically-seeded runtime making the
         # same calls reproduces the same streams.
-        key = label if site is None else f"{site}/{label}"
-        k = self._fork_counts.get(key, 0)
-        self._fork_counts[key] = k + 1
-        return label_rng(self.seed, key, k)
+        k = self._fork_counts.get(label, 0)
+        self._fork_counts[label] = k + 1
+        return label_rng(self.seed, label, k)
 
     def register(self, process: Any) -> None:
         self._processes[process.pid] = process

@@ -80,12 +80,12 @@ class NetKV:
         self.session: ClientSession = self.runtime.build(
             lambda: ClientSession(
                 pid,
-                spec=obj,
-                n=spec.n,
-                stats=self.stats,
-                retry_period=spec.config.retry_period,
+                self.runtime,
+                obj,
+                spec.n,
+                self.stats,
+                spec.config.retry_period,
                 read_targets=read_targets,
-                runtime=self.runtime,
             )
         )
 

@@ -40,20 +40,16 @@ from .config import ClusterSpec, make_object_spec
 __all__ = ["build_server", "main"]
 
 
-def build_server(spec: ClusterSpec, pid: int,
-                 runtime: Optional[AsyncioRuntime] = None) -> Any:
+def build_server(spec: ClusterSpec, pid: int, runtime: AsyncioRuntime) -> Any:
     """Construct the protocol process for ``pid`` on its runtime.
 
     The runtime must already be started (its loop running); call this
     from the loop thread (directly in async code, or via
     ``runtime.build``).
     """
-    if runtime is None:
-        raise ValueError("runtime is required")
     obj = make_object_spec(spec.object_name)
     if pid in spec.replica_pids:
-        replica = ChtReplica(pid, spec=obj, config=spec.config,
-                             runtime=runtime)
+        replica = ChtReplica(pid, runtime, obj, spec.config)
         if spec.num_leaseholders:
             replica.leaseholder_pids = frozenset(spec.leaseholder_pids)
         storage_root = spec.storage_path(pid)
@@ -69,8 +65,7 @@ def build_server(spec: ClusterSpec, pid: int,
         replica.start()
         return replica
     if pid in spec.leaseholder_pids:
-        holder = Leaseholder(pid, spec=obj, config=spec.config,
-                             runtime=runtime)
+        holder = Leaseholder(pid, runtime, obj, spec.config)
         holder.start()
         return holder
     raise ValueError(f"pid {pid} is not a member of this cluster")

@@ -59,9 +59,8 @@ class ControlPlane:
         self.num_groups = len(groups)
         self.num_clients = num_clients
         self.obs = obs
-        net = Network(sim, delta=delta)
         clocks = ClockModel(1, 0.0, offsets=[0.0])
-        self.host = ControlHost(0, sim, net, clocks)
+        self.host = ControlHost(0, Network(sim, delta=delta, clocks=clocks))
         #: Completed handoff records (dicts), in completion order.
         self.handoffs: list[dict[str, Any]] = []
         self._last_handoff: Optional[Future] = None

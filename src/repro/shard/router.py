@@ -141,7 +141,7 @@ class Router:
         future = Future()
         if kind == "rmw":
             self._outstanding_rmw = future
-        sim = self._host.sim
+        sim = self._host.runtime.sim
         self.stats.invoke(op_id, self._host.pid, kind, op, sim.now)
         self.attempts[op_id] = []
         future.on_resolve(

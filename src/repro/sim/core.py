@@ -235,7 +235,6 @@ class Simulator:
         until: Optional[float] = None,
         max_events: Optional[int] = None,
         stop_when: Optional[Callable[[], bool]] = None,
-        exclusive: bool = False,
     ) -> None:
         """Run the event loop.
 
@@ -249,11 +248,6 @@ class Simulator:
         stop_when:
             Predicate evaluated after every event; the loop exits once it
             returns True.
-        exclusive:
-            Process events strictly *before* ``until`` and leave events at
-            exactly ``until`` on the heap (the clock still advances to
-            ``until``), so consecutive exclusive windows compose into
-            one inclusive run.
         """
         processed = 0
         self._stopped = False
@@ -261,15 +255,9 @@ class Simulator:
         alive = self._alive
         pop = heapq.heappop
         # The horizon/budget checks are folded into constants hoisted out
-        # of the loop: ``deadline`` is +inf for an unbounded run and the
-        # largest representable float below ``until`` for an exclusive
-        # window, so one float compare replaces two None tests per event.
-        if until is None:
-            deadline = math.inf
-        elif exclusive:
-            deadline = math.nextafter(until, -math.inf)
-        else:
-            deadline = until
+        # of the loop (``deadline`` is +inf for an unbounded run), so one
+        # float compare replaces two None tests per event.
+        deadline = math.inf if until is None else until
         budget = -1 if max_events is None else max_events
         # The loop below is the hottest code in the repository; it inlines
         # step() so per-event cost is one pop, one set probe, and the

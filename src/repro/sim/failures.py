@@ -355,7 +355,7 @@ class FaultSchedule:
 
     def _arm_losses(self, net: Network) -> None:
         windows = list(self.losses)
-        rng = net.sim.fork_rng("loss-windows", site=net.site)
+        rng = net.fork_rng("loss-windows")
         previous_rule = net.drop_rule
 
         def drop(src: int, dst: int, msg: object, now: float) -> bool:
@@ -370,7 +370,7 @@ class FaultSchedule:
 
     def _arm_duplications(self, net: Network) -> None:
         windows = list(self.duplications)
-        rng = net.sim.fork_rng("dup-windows", site=net.site)
+        rng = net.fork_rng("dup-windows")
         previous_rule = net.dup_rule
 
         def dup(src: int, dst: int, msg: object, now: float) -> bool:

@@ -16,6 +16,11 @@ delivered a second time with an independent delay, though never before
 the original on a FIFO link.  Without a duplication rule the network
 never duplicates, matching the paper's base model.
 
+The network is also the simulator's :class:`~repro.net.runtime.Runtime`:
+besides message passing it carries the group's clocks, the simulator's
+time and timers, and site-namespaced RNG streams, so a process is built
+from ``(pid, network)`` alone.
+
 The network also keeps the accounting the experiments rely on: per-type
 message counters and an optional full trace.  Each message class may define
 a class attribute ``category`` (for example ``"lease"`` for the read-lease
@@ -26,14 +31,17 @@ category.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from ..net.runtime import LocalClock, Runtime
 from .core import SimulationError, Simulator
-from .latency import DelayModel, FixedDelay, UniformDelay
+from .latency import DelayModel, UniformDelay
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from .clocks import ClockModel
     from .process import Process
 
 __all__ = ["Network", "SentMessage", "Partition", "DelayBurst"]
@@ -102,8 +110,9 @@ class DelayBurst:
         return self.start <= now < self.end
 
 
-class Network:
-    """Delivers messages between registered processes.
+class Network(Runtime):
+    """Delivers messages between registered processes; the simulator's
+    :class:`~repro.net.runtime.Runtime`.
 
     Parameters
     ----------
@@ -122,6 +131,11 @@ class Network:
         When True (the default), messages between the same ordered pair of
         processes are delivered in send order, modelling TCP-like links.
         Set False for an adversarial reordering network.
+    site:
+        Site label namespacing this network's RNG streams (and those of
+        its processes) on a simulator shared by several groups.
+    clocks:
+        The group's local clocks; ``local_clock(pid)`` reads them.
     """
 
     def __init__(
@@ -135,12 +149,15 @@ class Network:
         trace: bool = False,
         fifo: bool = True,
         site: Optional[str] = None,
+        clocks: Optional["ClockModel"] = None,
     ) -> None:
         if delta <= 0:
             raise ValueError("delta must be positive")
         if not 0 <= pre_gst_drop_prob <= 1:
             raise ValueError("pre_gst_drop_prob must be a probability")
         self.sim = sim
+        self.clocks = clocks
+        self.schedule_at = sim.schedule_at
         self.delta = delta
         self.gst = gst
         if post_gst_delay is None:
@@ -155,11 +172,8 @@ class Network:
             )
         self.pre_gst_delay = pre_gst_delay or self.post_gst_delay
         self.pre_gst_drop_prob = pre_gst_drop_prob
-        # Site label namespacing this network's rng streams (see
-        # Simulator.fork_rng); a sharded group's network draws the same
-        # delays whether its simulator is shared or dedicated.
         self.site = site
-        self.rng = sim.fork_rng("network", site=site)
+        self.rng = self.fork_rng("network")
         self.processes: dict[int, "Process"] = {}
         self.partitions: list[Partition] = []
         self.messages_sent: Counter[str] = Counter()
@@ -199,6 +213,29 @@ class Network:
         self._delay_idx = 0
         self._pids_sorted: list[int] = []
         self._category_of: dict[type, str] = {}
+
+    # ------------------------------------------------------------------
+    # Runtime contract (send/broadcast/register below; schedule_at is
+    # the simulator's, bound in __init__)
+    # ------------------------------------------------------------------
+    @property
+    def now(self) -> float:
+        return self.sim.now
+
+    @property
+    def obs(self) -> Optional[Any]:
+        # Live view: an ObsContext attaches itself to the simulator,
+        # possibly after this network was built.
+        return self.sim.obs
+
+    def local_clock(self, pid: int) -> LocalClock:
+        return self.clocks[pid]
+
+    def fork_rng(self, label: str) -> random.Random:
+        """A site-namespaced stream (see :meth:`Simulator.fork_rng`); a
+        sharded group draws the same streams whether its simulator is
+        shared or dedicated."""
+        return self.sim.fork_rng(label, site=self.site)
 
     # ------------------------------------------------------------------
     # Registration / topology control
@@ -251,7 +288,7 @@ class Network:
         """Arm a slow-link window (see :class:`DelayBurst`)."""
         burst = DelayBurst(start, end, low, high)
         if self._burst_rng is None:
-            self._burst_rng = self.sim.fork_rng("delay-bursts", site=self.site)
+            self._burst_rng = self.fork_rng("delay-bursts")
         self.delay_bursts.append(burst)
         return burst
 

@@ -9,25 +9,21 @@ volatile state and in-flight tasks) and optionally recover; a small
 All protocol-visible time is *local* time read from the process clock; the
 base class converts to and from the runtime's real time when scheduling.
 
-Substrate access goes through the :class:`~repro.net.runtime.Runtime`
-seam: pass ``(sim, net, clocks)`` and the process wraps them in a
-:class:`~repro.net.runtime.SimRuntime` (the historical constructor — the
-whole test/chaos/bench corpus uses it), or pass ``runtime=`` to host the
-identical protocol code on another substrate such as
-:class:`~repro.net.asyncio_rt.AsyncioRuntime`.  Either way the contract
-is single-threaded: the runtime invokes ``deliver`` and timer callbacks
-sequentially (the simulator by construction, asyncio on its loop
-thread), so subclasses never need locks.
+A process is built from ``(pid, runtime)``: the runtime is the substrate
+(:class:`~repro.net.runtime.Runtime`) — the simulator's
+:class:`~repro.sim.network.Network`, or another substrate such as
+:class:`~repro.net.asyncio_rt.AsyncioRuntime` hosting the identical
+protocol code.  Either way the contract is single-threaded: the runtime
+invokes ``deliver`` and timer callbacks sequentially (the simulator by
+construction, asyncio on its loop thread), so subclasses never need
+locks.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator
 
-from ..net.runtime import Runtime, SimRuntime, TimerHandle
-from .clocks import ClockModel
-from .core import Simulator
-from .network import Network
+from ..net.runtime import Runtime, TimerHandle
 from .tasks import Future, Sleep, Task, Until
 
 __all__ = ["Process"]
@@ -40,34 +36,14 @@ _MAX_WAKE_ROUNDS = 1000
 class Process:
     """Base class for all protocol processes, on any runtime."""
 
-    def __init__(
-        self,
-        pid: int,
-        sim: Optional[Simulator] = None,
-        net: Optional[Network] = None,
-        clocks: Optional[ClockModel] = None,
-        site: Optional[str] = None,
-        runtime: Optional[Runtime] = None,
-    ) -> None:
-        if runtime is None:
-            if sim is None or net is None or clocks is None:
-                raise ValueError(
-                    "Process needs either (sim, net, clocks) or runtime="
-                )
-            runtime = SimRuntime(sim, net, clocks)
+    def __init__(self, pid: int, runtime: Runtime) -> None:
         self.pid = pid
         self.runtime = runtime
-        # Direct simulator handles, for sim-only call sites (chaos fault
-        # injection, tests poking at the event queue).  None on a real
-        # runtime — protocol code must not touch these.
-        self.sim = getattr(runtime, "sim", None)
-        self.net = getattr(runtime, "net", None)
-        self.clocks = getattr(runtime, "clocks", None)
         # Deployment-site label ("g0", "g1", ... in a sharded cluster).
         # Pids are only unique within one network, so multi-group runs
         # sharing a simulator and an ObsContext use the site to keep
         # per-group telemetry apart; None in single-group runs.
-        self.site = site
+        self.site = runtime.site
         self.crashed = False
         # The run's ObsContext (repro.obs), cached from the runtime at
         # construction; None in unobserved runs.  Every instrumentation
@@ -75,8 +51,12 @@ class Process:
         # cost is one load + comparison, and no obs code is ever entered.
         self.obs = runtime.obs
         self.stable: dict[str, Any] = {}
-        self.rng = runtime.fork_rng(f"process-{pid}", site=site)
+        self.rng = runtime.fork_rng(f"process-{pid}")
         self._clock = runtime.local_clock(pid)
+        # Hot runtime methods, bound once.
+        self._send = runtime.send
+        self._broadcast = runtime.broadcast
+        self._schedule_at = runtime.schedule_at
         self._tasks: list[Task] = []
         self._timers: list[TimerHandle] = []
         self._in_scheduler = False
@@ -100,20 +80,16 @@ class Process:
         """The process's local clock reading."""
         return self._clock.local(self.runtime.now)
 
-    def real_for_local(self, local: float) -> float:
-        """Real time at which the local clock will show ``local``."""
-        return self.runtime.real_for_local(self.pid, local)
-
     # ------------------------------------------------------------------
     # Messaging
     # ------------------------------------------------------------------
     def send(self, dst: int, msg: Any) -> None:
         if not self.crashed:
-            self.runtime.send(self.pid, dst, msg)
+            self._send(self.pid, dst, msg)
 
     def broadcast(self, msg: Any) -> None:
         if not self.crashed:
-            self.runtime.broadcast(self.pid, msg)
+            self._broadcast(self.pid, msg)
 
     def deliver(self, src: int, msg: Any) -> None:
         """Called by the runtime; dispatches to ``on_message``."""
@@ -133,13 +109,12 @@ class Process:
                   *args: Any) -> TimerHandle:
         """Run ``callback(*args)`` after ``local_delay`` units of *local*
         time."""
-        fire_local = self.local_time + local_delay
-        fire_real = max(self.real_for_local(fire_local), self.runtime.now)
-        event = self.runtime.schedule_at(fire_real, self._fire_timer, callback,
-                                         args)
+        now = self.runtime.now
+        clock = self._clock
+        fire_real = max(clock.real(clock.local(now) + local_delay), now)
+        event = self._schedule_at(fire_real, self._fire_timer, callback, args)
         self._timers.append(event)
         if len(self._timers) > 256:
-            now = self.runtime.now
             self._timers = [
                 t for t in self._timers
                 if not t.cancelled and t.time >= now

@@ -3,6 +3,7 @@ verdicts, the planted stale-read bug, and repro artifacts."""
 
 import pytest
 
+from repro.chaos.cli import _build
 from repro.chaos.generator import ScheduleGenerator, schedule_to_dict
 from repro.chaos.nemesis import NemesisRunner
 from repro.chaos.shrink import load_artifact, run_artifact, save_artifact, shrink
@@ -69,6 +70,38 @@ class TestGeneration:
             f"sharded leaseholder faults must skip the coordinator "
             f"session pid 7; drew {sorted(pids)}"
         )
+
+
+class TestPidLayout:
+    @pytest.mark.parametrize("system,groups", [("cht", [None]),
+                                               ("sharded", ["g0", "g1"])])
+    def test_generated_pids_are_the_leaseholders_the_runner_builds(
+        self, system, groups, monkeypatch,
+    ):
+        generator, runner = _build(system=system, n=3, clients=2,
+                                   horizon=1000.0, seed=0, ops_per_client=1,
+                                   num_leaseholders=2)
+        built = {}
+        start = ChtCluster.start
+
+        def recording_start(cluster):
+            built[cluster.site] = {h.pid for h in cluster.leaseholders}
+            return start(cluster)
+
+        monkeypatch.setattr(ChtCluster, "start", recording_start)
+        runner.run(generator.generate(0))
+        assert sorted(built, key=str) == groups
+
+        tier = set(range(generator.leaseholder_base,
+                         generator.leaseholder_base + 2))
+        drawn = set()
+        for index in range(10):
+            drawn |= {c.pid for c in generator.generate(index).crashes
+                      if c.pid >= runner.n}
+        assert drawn, "no leaseholder crashes drawn"
+        for site in groups:
+            assert built[site] == tier, site
+            assert drawn <= built[site], site
 
 
 class TestArming:

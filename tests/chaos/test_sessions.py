@@ -127,9 +127,7 @@ def test_session_pid_must_lie_above_replicas():
     with pytest.raises(ValueError):
         ClientSession(
             1,
-            cluster.sim,
             cluster.net,
-            cluster.clocks,
             cluster.spec,
             cluster.config.n,
             cluster.stats,

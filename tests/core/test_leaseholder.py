@@ -149,10 +149,10 @@ class TestLeaseLifecycle:
 class TestConstruction:
     def test_leaseholder_pid_must_lie_above_the_acceptors(self):
         sim = Simulator(seed=0)
-        net = Network(sim, delta=10.0)
         clocks = ClockModel(6, 2.0, rng=sim.fork_rng("clocks"))
+        net = Network(sim, delta=10.0, clocks=clocks)
         with pytest.raises(ValueError, match="above"):
-            Leaseholder(2, sim, net, clocks, KVStoreSpec(), ChtConfig(n=5))
+            Leaseholder(2, net, KVStoreSpec(), ChtConfig(n=5))
 
     def test_rmw_submission_is_rejected(self):
         cluster = make_tiered()
@@ -179,9 +179,8 @@ class TestClassification:
 
     def base_attr_names(self):
         sim = Simulator(seed=0)
-        net = Network(sim, delta=1.0)
         clocks = ClockModel(1, 0.0, rng=sim.fork_rng("clocks"))
-        return set(vars(Process(0, sim, net, clocks)))
+        return set(vars(Process(0, Network(sim, delta=1.0, clocks=clocks))))
 
     def test_every_attribute_is_classified(self):
         cluster = make_tiered()

@@ -21,9 +21,8 @@ from repro.sim.process import Process
 
 def base_attr_names():
     sim = Simulator(seed=0)
-    net = Network(sim, delta=1.0)
     clocks = ClockModel(1, 0.0, rng=sim.fork_rng("clocks"))
-    return set(vars(Process(0, sim, net, clocks)))
+    return set(vars(Process(0, Network(sim, delta=1.0, clocks=clocks))))
 
 
 def run_workload(durability=False):

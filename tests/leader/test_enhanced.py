@@ -26,8 +26,9 @@ class ServiceHost(Process):
 def build(n=5, oracle=None, monitor=None, epsilon=1.0, seed=3):
     sim = Simulator(seed=seed)
     clocks = ClockModel(n, epsilon=epsilon, rng=sim.fork_rng("clocks"))
-    net = Network(sim, delta=5.0, post_gst_delay=FixedDelay(2.0))
-    hosts = [ServiceHost(pid, sim, net, clocks) for pid in range(n)]
+    net = Network(sim, delta=5.0, post_gst_delay=FixedDelay(2.0),
+                  clocks=clocks)
+    hosts = [ServiceHost(pid, net) for pid in range(n)]
     for host in hosts:
         if oracle is not None:
             omega = OracleOmega(host, oracle)

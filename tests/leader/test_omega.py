@@ -24,8 +24,9 @@ class OmegaHost(Process):
 def build(n=4, period=10.0, timeout=35.0):
     sim = Simulator(seed=5)
     clocks = ClockModel(n, epsilon=1.0, rng=sim.fork_rng("clocks"))
-    net = Network(sim, delta=5.0, post_gst_delay=FixedDelay(2.0))
-    hosts = [OmegaHost(pid, sim, net, clocks) for pid in range(n)]
+    net = Network(sim, delta=5.0, post_gst_delay=FixedDelay(2.0),
+                  clocks=clocks)
+    hosts = [OmegaHost(pid, net) for pid in range(n)]
     for host in hosts:
         host.omega = HeartbeatOmega(host, period=period, timeout=timeout)
         host.omega.start()
@@ -68,7 +69,7 @@ def test_recovered_process_reclaims_leadership():
 
 def test_partitioned_process_trusts_itself():
     sim, hosts = build()
-    net = hosts[0].net
+    net = hosts[0].runtime
     sim.run_for(100.0)
     net.isolate(3, start=sim.now)
     sim.run_for(100.0)
@@ -87,8 +88,8 @@ def test_timeout_must_exceed_period():
 def test_oracle_omega():
     sim = Simulator()
     clocks = ClockModel(2, epsilon=0.0)
-    net = Network(sim, delta=5.0)
-    hosts = [OmegaHost(pid, sim, net, clocks) for pid in range(2)]
+    net = Network(sim, delta=5.0, clocks=clocks)
+    hosts = [OmegaHost(pid, net) for pid in range(2)]
     current = {"leader": 1}
     for host in hosts:
         host.omega = OracleOmega(host, lambda _pid: current["leader"])

@@ -22,8 +22,9 @@ class OmegaHost(Process):
 def build(factory, n=4):
     sim = Simulator(seed=5)
     clocks = ClockModel(n, epsilon=1.0, rng=sim.fork_rng("clocks"))
-    net = Network(sim, delta=5.0, post_gst_delay=FixedDelay(2.0))
-    hosts = [OmegaHost(pid, sim, net, clocks) for pid in range(n)]
+    net = Network(sim, delta=5.0, post_gst_delay=FixedDelay(2.0),
+                  clocks=clocks)
+    hosts = [OmegaHost(pid, net) for pid in range(n)]
     for host in hosts:
         host.omega = factory(host)
         host.omega.start()

@@ -6,8 +6,8 @@ and cancellation, deterministic RNG streams, self-send rejection,
 disconnect/reconnect recovery — and runs it against both substrates
 through one parametrized harness:
 
-* ``sim`` — :class:`SimRuntime` over a ``Simulator`` + ``Network``
-  with zero clock skew and no faults;
+* ``sim`` — a bare simulator :class:`Network` (the simulator's
+  runtime) with zero clock skew and no faults;
 * ``asyncio`` — one :class:`AsyncioRuntime` per pid, real loopback TCP
   between them, each on its own event-loop thread.
 
@@ -23,7 +23,6 @@ import pytest
 
 from repro.net.asyncio_rt import AsyncioRuntime
 from repro.net.launch import free_ports
-from repro.net.runtime import SimRuntime
 from repro.sim.clocks import ClockModel
 from repro.sim.core import Simulator
 from repro.sim.network import Network
@@ -46,7 +45,7 @@ class Recorder(Process):
     """Records every delivered message."""
 
     def __init__(self, pid, runtime):
-        super().__init__(pid, runtime=runtime)
+        super().__init__(pid, runtime)
         self.received = []
 
     def on_message(self, src, msg):
@@ -58,9 +57,10 @@ class SimHarness:
 
     def __init__(self):
         self.sim = Simulator(seed=42)
-        net = Network(self.sim, delta=5.0, gst=0.0)
-        clocks = ClockModel(N, epsilon=0.0, rng=self.sim.fork_rng("clocks"))
-        self.runtime = SimRuntime(self.sim, net, clocks)
+        self.clocks = ClockModel(N, epsilon=0.0,
+                                 rng=self.sim.fork_rng("clocks"))
+        self.runtime = Network(self.sim, delta=5.0, gst=0.0,
+                               clocks=self.clocks)
         self.procs = {
             pid: Recorder(pid, self.runtime) for pid in range(N)
         }
@@ -285,11 +285,8 @@ def test_rng_streams_are_deterministic_and_labelled(harness):
     if hasattr(harness, "runtimes"):
         fresh = AsyncioRuntime(99, peers={}, seed=42)
     else:
-        fresh = SimRuntime(
-            Simulator(seed=42),
-            harness.runtime.net,
-            harness.runtime.clocks,
-        )
+        fresh = Network(Simulator(seed=42), delta=5.0,
+                        clocks=harness.clocks)
     assert streams(fresh) == (a1, a2, b)
 
 

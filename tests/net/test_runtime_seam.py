@@ -1,24 +1,22 @@
-"""The runtime seam: sim path unchanged, runtime= path equivalent.
+"""The runtime contract on the simulator: a bare ``Network`` is the runtime.
 
 The heavyweight byte-identical pins live in the determinism suites
-(tests/durable/test_determinism.py and friends), which run the
-refactored Process over :class:`SimRuntime` and compare full event
-traces.  This file pins the seam's local contracts:
+(tests/durable/test_determinism.py and friends), which compare full
+event traces.  This file pins the contract's local properties:
 
-* constructing a Process from ``(sim, net, clocks)`` and from an
-  explicit ``runtime=SimRuntime(...)`` are the *same* code path — same
-  RNG stream, same clock, same registration;
-* the protocol classes accept ``runtime=`` and a hand-wired cluster on
-  an explicit SimRuntime elects a leader and commits, identically to a
-  facade-built cluster with the same seed.
+* both substrates — the simulator's :class:`Network` and
+  :class:`AsyncioRuntime` — implement every :class:`Runtime` member;
+* a process built from ``(pid, network)`` is hosted by that network
+  directly: its site, RNG stream and registration all come from it;
+* the protocol classes take the runtime positionally, and a hand-wired
+  cluster on a bare network elects a leader and commits.
 """
-
-import pytest
 
 from repro.core.config import ChtConfig
 from repro.core.client import ChtCluster
 from repro.core.replica import ChtReplica
-from repro.net.runtime import SimRuntime
+from repro.net.asyncio_rt import AsyncioRuntime
+from repro.net.runtime import Runtime
 from repro.objects.kvstore import KVStoreSpec, get, put
 from repro.sim.clocks import ClockModel
 from repro.sim.core import Simulator
@@ -31,50 +29,46 @@ class Null(Process):
         pass
 
 
-def make_triple(seed=5, n=3):
+def make_network(seed=5, n=3, site=None):
     sim = Simulator(seed=seed)
-    net = Network(sim, delta=10.0, gst=0.0)
     clocks = ClockModel(n, epsilon=2.0, rng=sim.fork_rng("clocks"))
-    return sim, net, clocks
+    return Network(sim, delta=10.0, gst=0.0, site=site, clocks=clocks)
 
 
-def test_triple_and_runtime_construction_are_identical():
-    sim1, net1, clocks1 = make_triple()
-    p1 = Null(0, sim1, net1, clocks1)
-
-    sim2, net2, clocks2 = make_triple()
-    p2 = Null(0, runtime=SimRuntime(sim2, net2, clocks2))
-
-    # Same forked RNG stream (same label, same seed)...
-    assert [p1.rng.random() for _ in range(16)] == \
-           [p2.rng.random() for _ in range(16)]
-    # ...same clock object selection and time view...
-    assert p1.local_time == p2.local_time
-    assert p1.now == sim1.now and p2.now == sim2.now
-    # ...and both are registered with their network.
-    assert net1.processes[0] is p1
-    assert net2.processes[0] is p2
-    # The triple stays reachable for sim-only call sites either way.
-    assert p2.sim is sim2 and p2.net is net2 and p2.clocks is clocks2
+def test_both_substrates_implement_every_runtime_member():
+    members = [name for name in vars(Runtime) if not name.startswith("_")]
+    assert {"now", "send", "schedule_at", "fork_rng", "site"} <= set(members)
+    for runtime in (make_network(), AsyncioRuntime(99, peers={}, seed=42)):
+        for name in members:
+            # Reading a property the substrate left abstract raises here.
+            value = getattr(runtime, name)
+            if callable(value):
+                assert getattr(value, "__func__", value) \
+                    is not vars(Runtime)[name], (type(runtime), name)
 
 
-def test_process_requires_a_substrate():
-    with pytest.raises(ValueError, match="runtime"):
-        Null(0)
+def test_process_is_hosted_by_its_network_directly():
+    net = make_network(site="g1")
+    p = Null(2, net)
+    assert p.runtime is net
+    assert p.site == "g1"
+    assert net.processes[2] is p
+    assert p.local_time == net.clocks[2].local(net.now)
+    # The process stream is the network's site-namespaced fork.
+    expected = Simulator(seed=5).fork_rng("process-2", site="g1")
+    assert [p.rng.random() for _ in range(16)] == \
+           [expected.random() for _ in range(16)]
 
 
-def test_hand_wired_cluster_on_explicit_simruntime_commits():
-    """The server wiring path (protocol classes + runtime kwarg), on the
-    simulator: elect, commit a write, read it back."""
+def test_hand_wired_cluster_on_a_bare_network_commits():
+    """The server wiring path (protocol classes on an explicit
+    runtime), on the simulator: elect, commit a write, read it back."""
     n = 3
-    sim, net, clocks = make_triple(seed=9, n=n)
-    rt = SimRuntime(sim, net, clocks)
+    net = make_network(seed=9, n=n)
+    sim = net.sim
     config = ChtConfig(n=n)
     spec = KVStoreSpec()
-    replicas = [
-        ChtReplica(pid, spec=spec, config=config, runtime=rt)
-        for pid in range(n)
-    ]
+    replicas = [ChtReplica(pid, net, spec, config) for pid in range(n)]
     for r in replicas:
         r.start()
     sim.run(until=5_000.0,
@@ -90,8 +84,7 @@ def test_hand_wired_cluster_on_explicit_simruntime_commits():
 
 def test_facade_runs_reproduce_exactly_across_the_seam():
     """Same seed, same workload, twice through the facade: identical
-    operation history timestamps (the facade now builds every process
-    over SimRuntime, so this pins the wrapped hot path end to end)."""
+    operation history timestamps (pins the hot path end to end)."""
 
     def run_once():
         cluster = ChtCluster(

@@ -40,8 +40,9 @@ class Sink(Process):
 def build(n=3):
     sim = Simulator(seed=1)
     clocks = ClockModel(n, epsilon=2.0)
-    net = Network(sim, delta=10.0, post_gst_delay=FixedDelay(1.0))
-    procs = [Sink(pid, sim, net, clocks) for pid in range(n)]
+    net = Network(sim, delta=10.0, post_gst_delay=FixedDelay(1.0),
+                  clocks=clocks)
+    procs = [Sink(pid, net) for pid in range(n)]
     return sim, clocks, net, procs
 
 

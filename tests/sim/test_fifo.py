@@ -27,8 +27,8 @@ def build(fifo):
     sim = Simulator(seed=9)
     clocks = ClockModel(2, epsilon=0.0)
     net = Network(sim, delta=10.0, post_gst_delay=UniformDelay(1.0, 10.0),
-                  fifo=fifo)
-    procs = [Collector(pid, sim, net, clocks) for pid in range(2)]
+                  fifo=fifo, clocks=clocks)
+    procs = [Collector(pid, net) for pid in range(2)]
     return sim, net, procs
 
 

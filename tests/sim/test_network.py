@@ -31,14 +31,14 @@ class Recorder(Process):
         self.received = []
 
     def on_message(self, src, msg):
-        self.received.append((src, msg, self.sim.now))
+        self.received.append((src, msg, self.now))
 
 
 def build(n=3, **net_kwargs):
     sim = Simulator(seed=1)
     clocks = ClockModel(n, epsilon=0.0)
-    net = Network(sim, **net_kwargs)
-    procs = [Recorder(pid, sim, net, clocks) for pid in range(n)]
+    net = Network(sim, clocks=clocks, **net_kwargs)
+    procs = [Recorder(pid, net) for pid in range(n)]
     return sim, net, procs
 
 

@@ -29,8 +29,9 @@ class Host(Process):
 def build(n=2, epsilon=0.0, offsets=None):
     sim = Simulator(seed=1)
     clocks = ClockModel(n, epsilon=epsilon, offsets=offsets)
-    net = Network(sim, delta=10.0, post_gst_delay=FixedDelay(1.0))
-    procs = [Host(pid, sim, net, clocks) for pid in range(n)]
+    net = Network(sim, delta=10.0, post_gst_delay=FixedDelay(1.0),
+                  clocks=clocks)
+    procs = [Host(pid, net) for pid in range(n)]
     return sim, net, procs
 
 
