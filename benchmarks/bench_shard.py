@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Generator
 
 from repro.analysis.parallel import default_workers, parallel_imap
-from repro.chaos.cli import _soak_cell
+from repro.chaos import NemesisRunner, run_cell
 from repro.core.config import ChtConfig
 from repro.objects.kvstore import KVStoreSpec, increment
 from repro.shard import ShardedCluster, slot_of
@@ -142,18 +142,16 @@ def bench_scaling(quick: bool) -> dict:
 def bench_handoff_soak(quick: bool) -> dict:
     """Sharded chaos soak: every schedule carries a mid-run handoff."""
     schedules = 8 if quick else 60
-    cells = [
-        dict(system="sharded", n=3, clients=2, horizon=2500.0, seed=0,
-             groups=2, handoffs=1, index=i)
-        for i in range(schedules)
-    ]
+    runner = NemesisRunner(system="sharded", n=3, num_clients=2,
+                           horizon=2500.0, seed=0, groups=2, handoffs=1)
+    cells = [(runner, i) for i in range(schedules)]
     workers = min(default_workers(), schedules)
     t0 = time.perf_counter()
     failures: list[str] = []
     undecided = 0
     ops = 0
     for index, result in enumerate(
-        parallel_imap(_soak_cell, cells, workers=workers)
+        parallel_imap(run_cell, cells, workers=workers)
     ):
         ops += result.ops_completed
         if result.ok:

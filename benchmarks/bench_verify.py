@@ -34,7 +34,7 @@ import time
 from pathlib import Path
 
 from repro.analysis.parallel import default_workers, parallel_imap
-from repro.chaos.cli import _soak_cell
+from repro.chaos import NemesisRunner, run_cell
 from repro.objects.kvstore import KVStoreSpec, delete, get, increment, put
 from repro.objects.register import RegisterSpec, read, write
 from repro.verify._reference import check_linearizable_reference
@@ -157,18 +157,17 @@ def bench_soak_shaped(quick: bool) -> dict:
 
 def bench_soak_end_to_end(quick: bool) -> dict:
     schedules = 4 if quick else 12
-    cells = [
-        dict(system="cht", n=5, clients=2, horizon=2500.0, seed=0, index=i)
-        for i in range(schedules)
-    ]
+    runner = NemesisRunner(system="cht", n=5, num_clients=2,
+                           horizon=2500.0, seed=0)
+    cells = [(runner, i) for i in range(schedules)]
 
     t0 = time.perf_counter()
-    serial = [_soak_cell(cell) for cell in cells]
+    serial = [run_cell(cell) for cell in cells]
     dt_serial = time.perf_counter() - t0
 
     workers = min(default_workers(), schedules)
     t0 = time.perf_counter()
-    parallel = list(parallel_imap(_soak_cell, cells, workers=workers))
+    parallel = list(parallel_imap(run_cell, cells, workers=workers))
     dt_parallel = time.perf_counter() - t0
 
     assert [r.ok for r in serial] == [r.ok for r in parallel]

@@ -17,7 +17,7 @@ Run:  python examples/fault_injection_tour.py
 """
 
 from repro import ChtCluster, ChtConfig
-from repro.chaos import NemesisRunner, ScheduleGenerator
+from repro.chaos import NemesisRunner
 from repro.objects.bank import BankSpec, balance, deposit, total, transfer
 from repro.sim.latency import SpikeDelay
 from repro.verify import check_linearizable
@@ -90,12 +90,11 @@ def main() -> None:
     assert ok
 
     print("phase 5: unleash the chaos nemesis (randomized schedules)")
-    generator = ScheduleGenerator(n=3, num_clients=1, seed=7)
     runner = NemesisRunner(
         system="cht", n=3, num_clients=1, seed=7, ops_per_client=3
     )
     for index in range(3):
-        schedule = generator.generate(index)
+        schedule = runner.schedule(index)
         result = runner.run(schedule)
         print(f"  schedule {index}: {schedule.fault_count()} fault entries"
               f" -> {result!r}")

@@ -9,10 +9,11 @@ simulation:
   constraint, symmetric and one-directional partitions, loss windows,
   duplication bursts, slow-link delay windows, clock-desync bursts, and
   leader-targeted crashes.
-* :class:`NemesisRunner` drives a client-session workload plus one
-  schedule through a cluster (CHT or a baseline) and verifies the full
-  history: linearizability, the I1–I3 / leader-interval invariants, and
-  liveness-after-heal.
+* :class:`NemesisRunner` is one run description (system, sizes, seed,
+  workload, tiers): it generates its schedules, drives a client-session
+  workload plus one schedule through a cluster (CHT, a baseline, or
+  sharded CHT groups) and verifies the full history: linearizability,
+  the I1–I3 / leader-interval invariants, and liveness-after-heal.
 * :func:`shrink` greedily minimizes a failing schedule and
   :func:`save_artifact` emits a deterministic seeded repro artifact
   (JSON plus a one-line rerun command).
@@ -22,7 +23,7 @@ soak is replayable bit-for-bit from its artifact.
 """
 
 from .generator import ScheduleGenerator, schedule_from_dict, schedule_to_dict
-from .nemesis import NemesisResult, NemesisRunner, last_disruption
+from .nemesis import NemesisResult, NemesisRunner, last_disruption, run_cell
 from .shrink import load_artifact, run_artifact, save_artifact, shrink
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "NemesisResult",
     "NemesisRunner",
     "last_disruption",
+    "run_cell",
     "shrink",
     "save_artifact",
     "load_artifact",

@@ -12,12 +12,12 @@ Two subcommands::
 
 Everything is deterministic for a fixed ``--seed``: the soak explores the
 same schedules, fails the same way, and shrinks to the same artifact on
-every run.  That determinism survives parallelism: each schedule's
-verdict is a pure function of ``(system, seed, index)``, so the soak
-fans whole runs (simulation *and* verification) over a process pool —
-while schedule *k*'s history is being verified, later schedules are
-already simulating on other workers — and consumes verdicts in index
-order.  ``--workers 1`` forces the serial path; both paths render
+every run.  That determinism survives parallelism: a soak cell is a
+``(runner, index)`` pair and its verdict is a pure function of it, so
+the soak fans whole runs (simulation *and* verification) over a process
+pool — while schedule *k*'s history is being verified, later schedules
+are already simulating on other workers — and consumes verdicts in
+index order.  ``--workers 1`` forces the serial path; both paths render
 byte-identical verdict streams.
 """
 
@@ -26,55 +26,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Optional, Sequence
+from dataclasses import fields
+from typing import Optional, Sequence
 
 from ..analysis.parallel import default_workers, parallel_imap
-from .generator import ScheduleGenerator
-from .nemesis import SYSTEMS, NemesisResult, NemesisRunner
+from .nemesis import SYSTEMS, NemesisRunner, run_cell
 from .shrink import run_artifact, save_artifact, shrink
 
 __all__ = ["main"]
-
-
-def _build(
-    system: str,
-    n: int,
-    clients: int,
-    horizon: float,
-    seed: int,
-    ops_per_client: int = 6,
-    bug: Optional[str] = None,
-    groups: int = 2,
-    handoffs: int = 1,
-    durability: bool = False,
-    num_leaseholders: int = 0,
-) -> tuple[ScheduleGenerator, NemesisRunner]:
-    """The schedule generator and nemesis runner of one soak config."""
-    runner = NemesisRunner(
-        system=system, n=n, num_clients=clients, seed=seed, horizon=horizon,
-        ops_per_client=ops_per_client, bug=bug,
-        groups=groups, handoffs=handoffs,
-        durability=durability, num_leaseholders=num_leaseholders,
-    )
-    generator = ScheduleGenerator(
-        n=n, num_clients=clients, horizon=horizon, seed=seed,
-        durability=durability, num_leaseholders=num_leaseholders,
-        leaseholder_base=runner.leaseholder_base,
-    )
-    return generator, runner
-
-
-def _soak_cell(cell: dict[str, Any]) -> NemesisResult:
-    """One soak cell: generate schedule ``cell["index"]`` and run it.
-
-    ``cell`` holds the schedule ``index`` plus :func:`_build`'s keyword
-    arguments.  Module-level (picklable) and self-contained so it
-    executes identically in a forked worker and in the parent process.
-    """
-    config = dict(cell)
-    index = config.pop("index")
-    generator, runner = _build(**config)
-    return runner.run(generator.generate(index))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help=f"comma-separated subset of {','.join(SYSTEMS)}")
     soak.add_argument("--seed", type=int, default=0)
     soak.add_argument("--n", type=int, default=5, help="replicas")
-    soak.add_argument("--clients", type=int, default=2)
+    soak.add_argument("--clients", dest="num_clients", type=int, default=2)
     soak.add_argument("--ops-per-client", type=int, default=6)
     soak.add_argument("--horizon", type=float, default=2500.0)
     soak.add_argument("--bug", default=None,
@@ -106,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            "replica and add crash-restart + storage-fault "
                            "windows to generated schedules (cht/sharded "
                            "systems only)")
-    soak.add_argument("--leaseholders", type=int, default=0,
+    soak.add_argument("--leaseholders", dest="num_leaseholders", type=int,
+                      default=0,
                       help="read-only leaseholders serving local reads "
                            "per CHT cluster (or per shard group); "
                            "schedules gain leaseholder crash/partition "
@@ -125,45 +85,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _soak(args: argparse.Namespace) -> int:
-    systems = [s.strip() for s in args.systems.split(",") if s.strip()]
-    for system in systems:
-        if system not in SYSTEMS:
-            print(f"unknown system {system!r}; pick from {SYSTEMS}")
-            return 2
-        if args.durability and system == "multipaxos":
-            print(
-                "--durability requires the CHT durable-storage seam; "
-                "drop multipaxos from --systems"
-            )
-            return 2
-        if args.leaseholders and system == "multipaxos":
-            print(
-                "--leaseholders requires the CHT lease machinery; "
-                "drop multipaxos from --systems"
-            )
-            return 2
+    # Flags are named after the runner's fields; the rest keep defaults.
+    params = {
+        f.name: getattr(args, f.name)
+        for f in fields(NemesisRunner) if f.init and hasattr(args, f.name)
+    }
+    try:
+        runners = [
+            NemesisRunner(system=system.strip(), **params)
+            for system in args.systems.split(",") if system.strip()
+        ]
+    except ValueError as exc:
+        print(exc)
+        return 2
     started = time.time()
     workers = args.workers if args.workers > 0 else default_workers()
     total = 0
     total_ops = 0
     undecided = 0
-    for system in systems:
+    for runner in runners:
         sys_undecided = 0
-        config = dict(
-            system=system, n=args.n, clients=args.clients,
-            horizon=args.horizon, seed=args.seed,
-            ops_per_client=args.ops_per_client, bug=args.bug,
-            groups=args.groups, handoffs=args.handoffs,
-            durability=args.durability, num_leaseholders=args.leaseholders,
-        )
-        cells = [
-            dict(config, index=index) for index in range(args.schedules)
-        ]
+        cells = [(runner, index) for index in range(args.schedules)]
         # Stream verdicts in index order; workers simulate+verify ahead.
         # Breaking out on the first failure terminates outstanding work,
         # so the verdict stream is identical to a serial loop's.
         for index, result in enumerate(
-            parallel_imap(_soak_cell, cells, workers=workers)
+            parallel_imap(run_cell, cells, workers=workers)
         ):
             total += 1
             total_ops += result.ops_completed
@@ -175,18 +122,16 @@ def _soak(args: argparse.Namespace) -> int:
                 undecided += 1
                 sys_undecided += 1
                 print(
-                    f"UNDECIDED system={system} seed={args.seed} "
+                    f"UNDECIDED system={runner.system} seed={runner.seed} "
                     f"schedule={index}\n  {result.detail}"
                 )
                 continue
             print(
-                f"FAIL system={system} seed={args.seed} schedule={index} "
-                f"kind={result.kind}\n  {result.detail}"
+                f"FAIL system={runner.system} seed={runner.seed} "
+                f"schedule={index} kind={result.kind}\n  {result.detail}"
             )
-            # Shrinking replays mutated schedules serially in this
-            # process; rebuild the failing cell's generator and runner.
-            generator, runner = _build(**config)
-            schedule = generator.generate(index)
+            # Shrinking replays mutated schedules serially in this process.
+            schedule = runner.schedule(index)
             print(
                 f"shrinking ({schedule.fault_count()} fault entries)...",
                 flush=True,
@@ -207,13 +152,13 @@ def _soak(args: argparse.Namespace) -> int:
             return 1
         if sys_undecided:
             print(
-                f"{system}: {args.schedules - sys_undecided}/"
+                f"{runner.system}: {args.schedules - sys_undecided}/"
                 f"{args.schedules} schedules passed, {sys_undecided} "
                 f"undecided (lin + invariants + liveness)"
             )
         else:
             print(
-                f"{system}: {args.schedules} schedules passed "
+                f"{runner.system}: {args.schedules} schedules passed "
                 f"(lin + invariants + liveness)"
             )
     elapsed = time.time() - started
@@ -229,7 +174,14 @@ def _soak(args: argparse.Namespace) -> int:
 
 
 def _repro(args: argparse.Namespace) -> int:
-    reproduced, result = run_artifact(args.artifact)
+    try:
+        reproduced, result = run_artifact(args.artifact)
+    except OSError as exc:
+        print(f"{args.artifact}: {exc.strerror or exc}")
+        return 2
+    except ValueError as exc:  # includes json.JSONDecodeError
+        print(f"{args.artifact}: not a repro artifact ({exc})")
+        return 2
     if reproduced:
         print(f"failure reproduced: kind={result.kind}\n  {result.detail}")
         return 0

@@ -24,8 +24,8 @@ artifact).
 from __future__ import annotations
 
 import random
-from dataclasses import fields
-from typing import Any, Optional
+from dataclasses import Field, fields
+from typing import Any, Optional, get_args, get_type_hints
 
 from ..sim.failures import (
     ClockDesync,
@@ -428,133 +428,46 @@ class ScheduleGenerator:
 # Serialization (repro artifacts)
 # ----------------------------------------------------------------------
 
-def _num(value: float) -> Optional[float]:
-    """JSON has no infinity; encode an open-ended window as null."""
+def _entry_types() -> dict[str, type]:
+    """Fault kind name -> entry dataclass, read off FaultSchedule."""
+    hints = get_type_hints(FaultSchedule)
+    return {f.name: get_args(hints[f.name])[0] for f in fields(FaultSchedule)}
+
+
+def _encode(value: Any) -> Any:
+    # JSON has no sets and no infinity: a pid group becomes a sorted
+    # list and an open-ended window end becomes null.
+    if isinstance(value, frozenset):
+        return sorted(value)
     return None if value == _INF else value
 
 
-def _denum(value: Optional[float]) -> float:
-    return _INF if value is None else value
+def _decode(spec: Field, value: Any) -> Any:
+    if isinstance(value, list):
+        return frozenset(value)
+    if value is None and spec.default == _INF:
+        return _INF
+    return value
 
 
 def schedule_to_dict(schedule: FaultSchedule) -> dict:
     """Encode a schedule as a JSON-serializable dict."""
     return {
-        "crashes": [{"pid": c.pid, "at": c.at} for c in schedule.crashes],
-        "recoveries": [
-            {"pid": r.pid, "at": r.at} for r in schedule.recoveries
-        ],
-        "leader_crashes": [
-            {"at": lc.at, "downtime": lc.downtime}
-            for lc in schedule.leader_crashes
-        ],
-        "crash_restarts": [
-            {"pid": cr.pid, "at": cr.at, "downtime": cr.downtime}
-            for cr in schedule.crash_restarts
-        ],
-        "disk_faults": [
-            {
-                "pid": df.pid, "kind": df.kind, "start": df.start,
-                "end": df.end, "low": df.low, "high": df.high,
-            }
-            for df in schedule.disk_faults
-        ],
-        "partitions": [
-            {
-                "group_a": sorted(p.group_a),
-                "group_b": sorted(p.group_b),
-                "start": p.start,
-                "end": _num(p.end),
-            }
-            for p in schedule.partitions
-        ],
-        "one_way_partitions": [
-            {
-                "from_group": sorted(p.from_group),
-                "to_group": sorted(p.to_group),
-                "start": p.start,
-                "end": _num(p.end),
-            }
-            for p in schedule.one_way_partitions
-        ],
-        "losses": [
-            {"start": w.start, "end": w.end, "prob": w.prob}
-            for w in schedule.losses
-        ],
-        "duplications": [
-            {"start": w.start, "end": w.end, "prob": w.prob}
-            for w in schedule.duplications
-        ],
-        "delay_bursts": [
-            {"start": w.start, "end": w.end, "low": w.low, "high": w.high}
-            for w in schedule.delay_bursts
-        ],
-        "desyncs": [
-            {"pid": d.pid, "start": d.start, "jump": d.jump, "end": d.end}
-            for d in schedule.desyncs
-        ],
+        kind.name: [
+            {f.name: _encode(getattr(entry, f.name)) for f in fields(entry)}
+            for entry in getattr(schedule, kind.name)
+        ]
+        for kind in fields(FaultSchedule)
     }
 
 
 def schedule_from_dict(data: dict) -> FaultSchedule:
-    """Inverse of :func:`schedule_to_dict`."""
-    return FaultSchedule(
-        crashes=[Crash(pid=c["pid"], at=c["at"]) for c in data["crashes"]],
-        recoveries=[
-            Recover(pid=r["pid"], at=r["at"]) for r in data["recoveries"]
-        ],
-        leader_crashes=[
-            LeaderCrash(at=lc["at"], downtime=lc["downtime"])
-            for lc in data["leader_crashes"]
-        ],
-        # .get: artifacts written before the durability faults existed.
-        crash_restarts=[
-            CrashRestart(pid=cr["pid"], at=cr["at"], downtime=cr["downtime"])
-            for cr in data.get("crash_restarts", [])
-        ],
-        disk_faults=[
-            DiskFaultWindow(
-                pid=df["pid"], kind=df["kind"], start=df["start"],
-                end=df["end"], low=df["low"], high=df["high"],
-            )
-            for df in data.get("disk_faults", [])
-        ],
-        partitions=[
-            PartitionWindow(
-                group_a=frozenset(p["group_a"]),
-                group_b=frozenset(p["group_b"]),
-                start=p["start"],
-                end=_denum(p["end"]),
-            )
-            for p in data["partitions"]
-        ],
-        one_way_partitions=[
-            OneWayPartitionWindow(
-                from_group=frozenset(p["from_group"]),
-                to_group=frozenset(p["to_group"]),
-                start=p["start"],
-                end=_denum(p["end"]),
-            )
-            for p in data["one_way_partitions"]
-        ],
-        losses=[
-            LossWindow(start=w["start"], end=w["end"], prob=w["prob"])
-            for w in data["losses"]
-        ],
-        duplications=[
-            DuplicationWindow(start=w["start"], end=w["end"], prob=w["prob"])
-            for w in data["duplications"]
-        ],
-        delay_bursts=[
-            DelayBurstWindow(
-                start=w["start"], end=w["end"], low=w["low"], high=w["high"]
-            )
-            for w in data["delay_bursts"]
-        ],
-        desyncs=[
-            ClockDesync(
-                pid=d["pid"], start=d["start"], jump=d["jump"], end=d["end"]
-            )
-            for d in data["desyncs"]
-        ],
-    )
+    """Inverse of :func:`schedule_to_dict`; a missing kind decodes as no
+    entries (artifacts written before that fault kind existed)."""
+    return FaultSchedule(**{
+        name: [
+            cls(**{f.name: _decode(f, entry[f.name]) for f in fields(cls)})
+            for entry in data.get(name, [])
+        ]
+        for name, cls in _entry_types().items()
+    })

@@ -1,7 +1,8 @@
 """The nemesis: run one workload + fault schedule and verify everything.
 
-:class:`NemesisRunner` builds a fresh cluster (CHT or the Multi-Paxos
-baseline), arms a :class:`~repro.sim.failures.FaultSchedule`, drives a
+:class:`NemesisRunner` builds a fresh cluster (CHT, the Multi-Paxos
+baseline, or sharded CHT groups), arms a
+:class:`~repro.sim.failures.FaultSchedule` on every group, drives a
 client-session workload through it, and then renders a verdict:
 
 * **invariant** — a monitor tripped during the run (EL1 leader
@@ -19,14 +20,14 @@ client-session workload through it, and then renders a verdict:
 * **exception** — the run crashed outright.
 
 All randomness comes from the simulator's forked streams, so a verdict
-is a deterministic function of ``(system, seed, schedule, workload
-parameters)`` — which is what makes shrinking and repro artifacts work.
+is a deterministic function of the runner's fields and the schedule —
+which is what makes shrinking and repro artifacts work.
 """
 
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
 from ..baselines.multipaxos import PaxosCluster
@@ -43,8 +44,11 @@ from ..sim.tasks import Future, Sleep
 from ..verify.history import History
 from ..verify.invariants import check_i2_i3
 from ..verify.linearizability import check_linearizable
+from .generator import ScheduleGenerator
 
-__all__ = ["NemesisResult", "NemesisRunner", "last_disruption", "SYSTEMS"]
+__all__ = [
+    "NemesisResult", "NemesisRunner", "last_disruption", "run_cell", "SYSTEMS",
+]
 
 SYSTEMS = ("cht", "multipaxos", "sharded")
 
@@ -108,80 +112,93 @@ class NemesisResult:
         return f"<NemesisResult FAIL {self.kind}: {self.detail[:120]}>"
 
 
+@dataclass
 class NemesisRunner:
-    """Runs workload + schedule through one system and checks the history."""
+    """Runs workload + schedule through one system and checks the history.
 
-    def __init__(
-        self,
-        system: str = "cht",
-        n: int = 5,
-        num_clients: int = 2,
-        seed: int = 0,
-        horizon: float = 2500.0,
-        ops_per_client: int = 6,
-        liveness_bound: float = 3000.0,
-        bug: Optional[str] = None,
-        obs: bool = True,
-        verify_workers: Optional[int] = None,
-        max_configurations: int = 2_000_000,
-        groups: int = 2,
-        handoffs: int = 1,
-        durability: bool = False,
-        num_leaseholders: int = 0,
-    ) -> None:
-        if system not in SYSTEMS:
-            raise ValueError(f"unknown system {system!r}; pick from {SYSTEMS}")
-        if durability and system == "multipaxos":
+    The init fields are the whole run description: a verdict is a pure
+    function of them and the schedule, the soak CLI builds runners from
+    its flags by field name, and a repro artifact stores exactly them.
+    """
+
+    system: str = "cht"
+    n: int = 5
+    num_clients: int = 2
+    seed: int = 0
+    horizon: float = 2500.0
+    ops_per_client: int = 6
+    liveness_bound: float = 3000.0
+    bug: Optional[str] = None
+    # Observability is on by default: attaching an ObsContext never
+    # schedules events or consumes randomness, so verdicts are
+    # bit-identical with or without it — and failures then carry a
+    # metrics snapshot for free.
+    obs: bool = True
+    # Budget for the linearizability search; a breach becomes an
+    # "undecided" verdict, never a crash or a wrong answer.
+    max_configurations: int = 2_000_000
+    # Sharded runs only: group count and how many fenced handoffs the
+    # runner fires while the fault schedule is playing out.
+    groups: int = 2
+    handoffs: int = 1
+    # Durability mode: replicas get in-sim durable stores, so
+    # CrashRestart faults genuinely erase memory and recover via
+    # snapshot + WAL replay, DiskFaultWindow entries can target their
+    # storage, and the post-run verdicts include the durable audit
+    # (cross-replica durable I1/I2 agreement).
+    durability: bool = False
+    # Leaseholder read tier: read-only learners holding read leases and
+    # serving local reads (cht and sharded systems; the paxos baseline
+    # has no lease machinery to host them).
+    num_leaseholders: int = 0
+    # The most recent run's ObsContext (tracer + registry), for callers
+    # that want more than the snapshot (property tests).
+    last_obs: Optional[Any] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.system not in SYSTEMS:
+            raise ValueError(
+                f"unknown system {self.system!r}; pick from {SYSTEMS}"
+            )
+        if self.durability and self.system == "multipaxos":
             raise ValueError(
                 "durability mode needs the CHT durable-storage seam; the "
                 "multipaxos baseline does not implement it"
             )
-        self.system = system
-        # Durability mode: replicas get in-sim durable stores, so
-        # CrashRestart faults genuinely erase memory and recover via
-        # snapshot + WAL replay, DiskFaultWindow entries can target
-        # their storage, and the post-run verdicts include the durable
-        # audit (cross-replica durable I1/I2 agreement).
-        self.durability = durability
-        self.n = n
-        self.num_clients = num_clients
-        # Leaseholder read tier: read-only learners holding read leases
-        # and serving local reads (cht and sharded systems; the paxos
-        # baseline has no lease machinery to host them).
-        if num_leaseholders and system == "multipaxos":
+        if self.num_leaseholders and self.system == "multipaxos":
             raise ValueError(
                 "leaseholders ride on the CHT lease machinery; the "
                 "multipaxos baseline does not implement them"
             )
-        self.num_leaseholders = num_leaseholders
-        # First leaseholder pid of every cluster this runner builds: the
-        # tier sits above the replicas and client sessions, and each
-        # sharded group runs one extra (coordinator) session below it.
-        coordinators = 1 if system == "sharded" else 0
-        self.leaseholder_base = n + num_clients + coordinators
-        # Sharded runs only: group count and how many fenced handoffs the
-        # runner fires while the fault schedule is playing out.
-        self.groups = groups
-        self.handoffs = handoffs
-        self.seed = seed
-        self.horizon = horizon
-        self.ops_per_client = ops_per_client
-        self.liveness_bound = liveness_bound
-        self.bug = bug
-        # Fan the per-key linearizability sub-checks over a process pool
-        # of this size (None/1 = serial; verdicts identical either way).
-        self.verify_workers = verify_workers
-        # Budget for the linearizability search; a breach becomes an
-        # "undecided" verdict, never a crash or a wrong answer.
-        self.max_configurations = max_configurations
-        # Observability is on by default: attaching an ObsContext never
-        # schedules events or consumes randomness, so verdicts are
-        # bit-identical with or without it — and failures then carry a
-        # metrics snapshot for free.
-        self.obs = obs
-        # The most recent run's ObsContext (tracer + registry), for
-        # callers that want more than the snapshot (property tests).
-        self.last_obs: Optional[Any] = None
+        # The generator's own checks (n >= 3) are the runner's too.
+        self._generator()
+
+    def __getstate__(self) -> dict:
+        # A runner pickles (to soak pool workers) as its run description:
+        # a finished run's ObsContext holds live generators.
+        return {**self.__dict__, "last_obs": None}
+
+    @property
+    def leaseholder_base(self) -> int:
+        """First leaseholder pid of every cluster this runner builds: the
+        tier sits above the replicas and client sessions, and each
+        sharded group runs one extra (coordinator) session below it."""
+        coordinators = 1 if self.system == "sharded" else 0
+        return self.n + self.num_clients + coordinators
+
+    def _generator(self) -> ScheduleGenerator:
+        return ScheduleGenerator(
+            n=self.n, num_clients=self.num_clients, horizon=self.horizon,
+            seed=self.seed, durability=self.durability,
+            num_leaseholders=self.num_leaseholders,
+            leaseholder_base=self.leaseholder_base,
+        )
+
+    def schedule(self, index: int) -> FaultSchedule:
+        """Generated schedule ``index`` for this run description."""
+        return self._generator().generate(index)
 
     # ------------------------------------------------------------------
     def run(self, schedule: FaultSchedule) -> NemesisResult:
@@ -210,90 +227,7 @@ class NemesisRunner:
         return result
 
     def _run_checked(self, schedule: FaultSchedule) -> NemesisResult:
-        if self.system == "sharded":
-            return self._run_sharded(schedule)
-        spec = KVStoreSpec()
-        cluster, probe = self._build(spec)
-        # The paxos baseline has no leaseholder tier (constructor rejects
-        # the combination), so its clusters expose no such attribute.
-        leaseholders = list(getattr(cluster, "leaseholders", []))
-        if self.bug:
-            for replica in cluster.replicas:
-                replica.bug_switches.add(self.bug)
-            for holder in leaseholders:
-                holder.bug_switches.add(self.bug)
-        cluster.start()
-        schedule.arm(
-            cluster.sim,
-            cluster.net,
-            list(cluster.replicas)
-            + list(cluster.clients)
-            + leaseholders,
-            clocks=cluster.clocks,
-            leader_probe=probe,
-        )
-
-        futures: list[Future] = []
-        expected = self.num_clients * self.ops_per_client
-        for i, session in enumerate(cluster.clients):
-            ops = self._client_ops(cluster.sim.fork_rng(f"chaos-ops-{i}"))
-            think_rng = cluster.sim.fork_rng(f"chaos-think-{i}")
-            session.spawn(
-                self._workload(session, ops, think_rng, futures),
-                name=f"workload{i}",
-            )
-
-        # Phase 1: play the entire schedule out (no early stop), so the
-        # invariant monitors observe every fault even if the workload
-        # finishes early.
-        settle = max(self.horizon, last_disruption(schedule))
-        cluster.sim.run(until=settle)
-
-        # Phase 2: liveness-after-heal — every operation must complete
-        # within the bound of the last heal.
-        def all_done() -> bool:
-            return len(futures) == expected and all(f.done for f in futures)
-
-        cluster.sim.run(until=settle + self.liveness_bound, stop_when=all_done)
-
-        if self.system == "cht":
-            check_i2_i3(cluster.replicas)
-            durable_audit(cluster.replicas)
-
-        if not all_done():
-            completed = sum(1 for f in futures if f.done)
-            return NemesisResult(
-                False,
-                "liveness",
-                f"{completed}/{expected} ops completed within "
-                f"{self.liveness_bound} of last heal (t={settle}); "
-                f"{cluster.describe()}",
-                ops_completed=completed,
-            )
-        history = cluster.history()
-        result = check_linearizable(
-            spec, history, partition_by_key=True,
-            max_configurations=self.max_configurations,
-            workers=self.verify_workers,
-        )
-        if result.undecided:
-            return NemesisResult(
-                False, "undecided", str(result.reason),
-                ops_completed=expected,
-            )
-        if not result.ok:
-            return NemesisResult(
-                False, "linearizability", str(result.reason),
-                ops_completed=expected,
-            )
-        return NemesisResult(True, ops_completed=expected)
-
-    # ------------------------------------------------------------------
-    # Sharded runs
-    # ------------------------------------------------------------------
-    def _run_sharded(self, schedule: FaultSchedule) -> NemesisResult:
-        """One sharded run: G CHT groups, routed workloads, mid-schedule
-        fenced handoffs, and the shard-aware verdict pipeline.
+        """One run on any system; a sharded run works on every group.
 
         The same fault schedule is armed once per group (each arm call
         forks fresh randomness, so the groups see distinct loss/dup
@@ -312,148 +246,120 @@ class NemesisRunner:
           exactly one committed non-WrongShard reply across all groups.
         """
         spec = KVStoreSpec()
-        bug = self.bug
-        durability = self.durability
-
-        def group_setup(group: ChtCluster, gid: int) -> None:
-            if bug:
-                for replica in group.replicas:
-                    replica.bug_switches.add(bug)
-                for holder in group.leaseholders:
-                    holder.bug_switches.add(bug)
-            if durability:
-                attach_memory_durability(group)
-
-        cluster = ShardedCluster(
-            spec,
-            ChtConfig(n=self.n),
-            num_groups=self.groups,
-            num_slots=SHARD_SLOTS,
-            seed=self.seed,
-            num_clients=self.num_clients,
-            obs=self.obs,
-            group_setup=group_setup,
-            num_leaseholders=self.num_leaseholders,
-        )
+        cluster = self._build(spec)
         self.last_obs = cluster.obs
+        sharded = self.system == "sharded"
+        groups = cluster.groups if sharded else [cluster]
+        # The paxos baseline has no leaseholder tier (the runner rejects
+        # the combination), so its clusters expose no such attribute.
+        tiers = [list(getattr(group, "leaseholders", [])) for group in groups]
+        if self.bug:
+            for group, leaseholders in zip(groups, tiers):
+                for process in list(group.replicas) + leaseholders:
+                    process.bug_switches.add(self.bug)
         cluster.start()
-        for group in cluster.groups:
+        for group, leaseholders in zip(groups, tiers):
             schedule.arm(
                 group.sim,
                 group.net,
-                list(group.replicas)
-                + list(group.clients)
-                + list(group.leaseholders),
+                list(group.replicas) + list(group.clients) + leaseholders,
                 clocks=group.clocks,
-                leader_probe=self._cht_probe(group),
+                leader_probe=self._leader_probe(group),
             )
-        return self._drive_sharded(cluster, spec, schedule)
 
-    def _drive_sharded(
-        self, cluster: ShardedCluster, spec: KVStoreSpec,
-        schedule: FaultSchedule,
-    ) -> NemesisResult:
-        """Drive one started sharded run and render its verdict."""
-        routers = [cluster.router(i) for i in range(self.num_clients)]
+        if sharded:
+            clients = [cluster.router(i) for i in range(self.num_clients)]
+            hosts = [router._host for router in clients]
+        else:
+            clients = hosts = list(cluster.clients)
         futures: list[Future] = []
         expected = self.num_clients * self.ops_per_client
-        for i, router in enumerate(routers):
+        for i, (client, host) in enumerate(zip(clients, hosts)):
             ops = self._client_ops(cluster.sim.fork_rng(f"chaos-ops-{i}"))
             think_rng = cluster.sim.fork_rng(f"chaos-think-{i}")
-            router._host.spawn(
-                self._workload(router, ops, think_rng, futures),
+            host.spawn(
+                self._workload(client, ops, think_rng, futures),
                 name=f"workload{i}",
             )
 
         # Handoffs fire at fixed fractions of the horizon — deliberately
         # inside the window where the fault schedule is active, so leader
         # crashes race freeze/install commits.
+        handoffs = self.handoffs if sharded else 0
         handoff_futures: list[Future] = []
-        if self.handoffs:
+        if handoffs:
             times = [
-                self.horizon * (j + 1) / (self.handoffs + 1)
-                for j in range(self.handoffs)
+                self.horizon * (j + 1) / (handoffs + 1)
+                for j in range(handoffs)
             ]
             pairs = [
                 (j % self.groups, (j + 1) % self.groups)
-                for j in range(self.handoffs)
+                for j in range(handoffs)
             ]
             cluster.control.host.spawn(
                 self._handoff_driver(cluster, times, pairs, handoff_futures),
                 name="handoff-driver",
             )
 
+        # Phase 1: play the entire schedule out (no early stop), so the
+        # invariant monitors observe every fault even if the workload
+        # finishes early.
         settle = max(self.horizon, last_disruption(schedule))
-        cluster.run_to(settle)
+        cluster.sim.run(until=settle)
 
+        # Phase 2: liveness-after-heal — every operation (and handoff)
+        # must complete within the bound of the last heal.
         def all_done() -> bool:
             return (
                 len(futures) == expected
                 and all(f.done for f in futures)
-                and len(handoff_futures) == self.handoffs
+                and len(handoff_futures) == handoffs
                 and all(f.done for f in handoff_futures)
             )
 
-        cluster.run_until(all_done, timeout=self.liveness_bound)
+        cluster.sim.run(until=settle + self.liveness_bound, stop_when=all_done)
 
-        failures = cluster.invariant_failures()
-        if failures:
-            return NemesisResult(
-                False,
-                "invariant",
-                "; ".join(
-                    f"{site}: {msg}"
-                    for site, msg in sorted(failures.items())
-                ),
-            )
+        if self.system == "cht":
+            check_i2_i3(cluster.replicas)
+            durable_audit(cluster.replicas)
+        elif sharded:
+            failures = cluster.invariant_failures()
+            if failures:
+                return NemesisResult(
+                    False,
+                    "invariant",
+                    "; ".join(
+                        f"{site}: {msg}"
+                        for site, msg in sorted(failures.items())
+                    ),
+                )
 
         if not all_done():
             completed = sum(1 for f in futures if f.done)
-            handoffs_done = sum(1 for f in handoff_futures if f.done)
+            progress = f"{completed}/{expected} ops"
+            if sharded:
+                handoffs_done = sum(1 for f in handoff_futures if f.done)
+                progress += f" and {handoffs_done}/{handoffs} handoffs"
             return NemesisResult(
                 False,
                 "liveness",
-                f"{completed}/{expected} ops and {handoffs_done}/"
-                f"{self.handoffs} handoffs completed within "
-                f"{self.liveness_bound} of last heal (t={settle}); "
-                f"{cluster.describe()}",
+                f"{progress} completed within {self.liveness_bound} of "
+                f"last heal (t={settle}); {cluster.describe()}",
                 ops_completed=completed,
             )
 
-        # Ownership convergence: replicas may trail the committed
-        # freeze/install batches when the liveness phase ends, so give
-        # catch-up (retransmission, snapshot transfer) one more bounded
-        # quiet window before asserting.
-        def converged() -> bool:
-            slot_sets = [
-                cluster.owned_slots(g) for g in range(self.groups)
-            ]
-            union = frozenset().union(*slot_sets)
-            return (
-                sum(len(s) for s in slot_sets) == len(union)
-                and union == frozenset(range(SHARD_SLOTS))
+        if sharded:
+            self._check_convergence(cluster)
+            self._check_exactly_once(clients)
+            history = History(
+                entry for router in clients
+                for entry in History.from_stats(router.stats)
             )
-
-        cluster.run_until(converged, timeout=self.liveness_bound)
-        assert converged(), (
-            "shard ownership did not converge to a disjoint, complete "
-            f"partition after heal: "
-            + " ".join(
-                f"g{g}={sorted(cluster.owned_slots(g))}"
-                for g in range(self.groups)
-            )
-        )
-
-        self._check_exactly_once(routers)
-
-        history = History(
-            entry for router in routers
-            for entry in History.from_stats(router.stats)
-        )
+        else:
+            history = cluster.history()
         result = check_linearizable(
             spec, history, partition_by_key=True,
             max_configurations=self.max_configurations,
-            workers=self.verify_workers,
         )
         if result.undecided:
             return NemesisResult(
@@ -467,9 +373,47 @@ class NemesisRunner:
             )
         return NemesisResult(True, ops_completed=expected)
 
+    def _build(self, spec: KVStoreSpec) -> Any:
+        """A fresh, unstarted cluster of this runner's system."""
+        config = ChtConfig(n=self.n)
+        if self.system == "cht":
+            return ChtCluster(
+                spec, config, seed=self.seed, num_clients=self.num_clients,
+                obs=self.obs, durability=self.durability,
+                num_leaseholders=self.num_leaseholders,
+            )
+        if self.system == "sharded":
+            return ShardedCluster(
+                spec, config, num_groups=self.groups,
+                num_slots=SHARD_SLOTS, seed=self.seed,
+                num_clients=self.num_clients, obs=self.obs,
+                group_setup=(
+                    (lambda group, gid: attach_memory_durability(group))
+                    if self.durability else None
+                ),
+                num_leaseholders=self.num_leaseholders,
+            )
+        return PaxosCluster(
+            spec, n=self.n, seed=self.seed, num_clients=self.num_clients,
+            obs=self.obs,
+        )
+
+    def _leader_probe(self, group: Any) -> Callable[[], Optional[int]]:
+        """Leader probe over one group (for targeted LeaderCrash)."""
+        if self.system != "multipaxos":
+            return self._cht_probe(group)
+
+        def paxos_probe() -> Optional[int]:
+            for replica in group.replicas:
+                if not replica.crashed:
+                    return replica.omega.leader()
+            return None
+
+        return paxos_probe
+
     @staticmethod
     def _cht_probe(cluster: ChtCluster) -> Callable[[], Optional[int]]:
-        """Leader probe over one CHT group (for targeted LeaderCrash)."""
+        """Leader probe over one CHT group."""
 
         def probe() -> Optional[int]:
             leader = cluster.leader()
@@ -498,6 +442,34 @@ class NemesisRunner:
             handoff_futures.append(future)
             yield future
 
+    def _check_convergence(self, cluster: ShardedCluster) -> None:
+        """The groups' applied owned-slot sets partition the slot space.
+
+        Replicas may trail the committed freeze/install batches when the
+        liveness phase ends, so catch-up (retransmission, snapshot
+        transfer) gets one more bounded quiet window before the check.
+        """
+
+        def converged() -> bool:
+            slot_sets = [
+                cluster.owned_slots(g) for g in range(self.groups)
+            ]
+            union = frozenset().union(*slot_sets)
+            return (
+                sum(len(s) for s in slot_sets) == len(union)
+                and union == frozenset(range(SHARD_SLOTS))
+            )
+
+        cluster.run_until(converged, timeout=self.liveness_bound)
+        assert converged(), (
+            "shard ownership did not converge to a disjoint, complete "
+            f"partition after heal: "
+            + " ".join(
+                f"g{g}={sorted(cluster.owned_slots(g))}"
+                for g in range(self.groups)
+            )
+        )
+
     @staticmethod
     def _check_exactly_once(routers: list[Router]) -> None:
         """Every routed op saw exactly one non-WrongShard committed reply
@@ -514,48 +486,6 @@ class NemesisRunner:
                     f"across groups (attempts: {attempts}); exactly-once "
                     "across shards violated"
                 )
-
-    # ------------------------------------------------------------------
-    def _build(self, spec: KVStoreSpec) -> tuple[Any, Callable[[], Optional[int]]]:
-        if self.system == "cht":
-            cluster = ChtCluster(
-                spec,
-                ChtConfig(n=self.n),
-                seed=self.seed,
-                num_clients=self.num_clients,
-                obs=self.obs,
-                durability=self.durability,
-                num_leaseholders=self.num_leaseholders,
-            )
-            self.last_obs = cluster.obs
-
-            def probe() -> Optional[int]:
-                leader = cluster.leader()
-                if leader is not None:
-                    return leader.pid
-                for replica in cluster.replicas:
-                    if not replica.crashed:
-                        return replica.leader_service.believed_leader()
-                return None
-
-            return cluster, probe
-
-        cluster = PaxosCluster(
-            spec,
-            n=self.n,
-            seed=self.seed,
-            num_clients=self.num_clients,
-            obs=self.obs,
-        )
-        self.last_obs = cluster.obs
-
-        def paxos_probe() -> Optional[int]:
-            for replica in cluster.replicas:
-                if not replica.crashed:
-                    return replica.omega.leader()
-            return None
-
-        return cluster, paxos_probe
 
     def _client_ops(self, rng: Any) -> list[Operation]:
         """A single-key workload mix (ints only, so increment composes
@@ -608,3 +538,13 @@ class NemesisRunner:
             future = session.submit(op)
             futures.append(future)
             yield future
+
+
+def run_cell(cell: tuple[NemesisRunner, int]) -> NemesisResult:
+    """One soak cell ``(runner, index)``: run generated schedule ``index``.
+
+    Module-level and picklable, so a cell runs identically in a forked
+    pool worker and in the parent process.
+    """
+    runner, index = cell
+    return runner.run(runner.schedule(index))

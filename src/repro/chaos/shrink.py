@@ -9,15 +9,16 @@ The result is the small schedule a human actually debugs — typically one
 or two faults instead of a dozen.
 
 :func:`save_artifact` writes the failure as a self-contained JSON file:
-system, seeds, workload parameters, the (shrunken) schedule, the
-observed failure, and a one-line rerun command.  :func:`run_artifact`
+every init field of the :class:`NemesisRunner` (the run description),
+the (shrunken) schedule, the observed failure, and a one-line rerun
+command.  :func:`run_artifact`
 replays it deterministically.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Callable, Optional
 
 from ..sim.failures import Crash, FaultSchedule, Recover
@@ -61,19 +62,10 @@ def logical_faults(schedule: FaultSchedule) -> list[tuple[str, tuple]]:
             units.append(("crashes", (crash,)))
     for rec in recoveries:  # unpaired recoveries (hand-written plans)
         units.append(("recoveries", (rec,)))
-    for name in (
-        "leader_crashes",
-        "crash_restarts",
-        "disk_faults",
-        "partitions",
-        "one_way_partitions",
-        "losses",
-        "duplications",
-        "delay_bursts",
-        "desyncs",
-    ):
-        for entry in getattr(schedule, name):
-            units.append((name, (entry,)))
+    for f in fields(FaultSchedule):
+        if f.name not in ("crashes", "recoveries"):  # paired above
+            for entry in getattr(schedule, f.name):
+                units.append((f.name, (entry,)))
     return units
 
 
@@ -219,18 +211,7 @@ def save_artifact(
             fh.write("\n")
     artifact = {
         "version": ARTIFACT_VERSION,
-        "system": runner.system,
-        "n": runner.n,
-        "num_clients": runner.num_clients,
-        "seed": runner.seed,
-        "horizon": runner.horizon,
-        "ops_per_client": runner.ops_per_client,
-        "liveness_bound": runner.liveness_bound,
-        "bug": runner.bug,
-        "groups": runner.groups,
-        "handoffs": runner.handoffs,
-        "durability": runner.durability,
-        "num_leaseholders": runner.num_leaseholders,
+        **{f.name: getattr(runner, f.name) for f in fields(runner) if f.init},
         "fault_count": schedule.fault_count(),
         "logical_faults": len(logical_faults(schedule)),
         "schedule": schedule_to_dict(schedule),
@@ -250,27 +231,15 @@ def load_artifact(path: str) -> tuple[NemesisRunner, FaultSchedule, dict]:
     """Rebuild the runner and schedule recorded in an artifact."""
     with open(path) as fh:
         artifact = json.load(fh)
-    if artifact.get("version") != ARTIFACT_VERSION:
-        raise ValueError(
-            f"unsupported artifact version {artifact.get('version')!r}"
-        )
-    runner = NemesisRunner(
-        system=artifact["system"],
-        n=artifact["n"],
-        num_clients=artifact["num_clients"],
-        seed=artifact["seed"],
-        horizon=artifact["horizon"],
-        ops_per_client=artifact["ops_per_client"],
-        liveness_bound=artifact["liveness_bound"],
-        bug=artifact["bug"],
-        # Sharded-run keys; absent from pre-sharding artifacts.
-        groups=artifact.get("groups", 2),
-        handoffs=artifact.get("handoffs", 1),
-        # Durability key; absent from pre-durability artifacts.
-        durability=artifact.get("durability", False),
-        # Leaseholder key; absent from pre-read-tier artifacts.
-        num_leaseholders=artifact.get("num_leaseholders", 0),
-    )
+    version = artifact.get("version") if isinstance(artifact, dict) else None
+    if version != ARTIFACT_VERSION:
+        raise ValueError(f"unsupported artifact version {version!r}")
+    # Keys missing from older artifacts (sharding, durability, read-tier
+    # and verifier parameters) take the runner's defaults.
+    runner = NemesisRunner(**{
+        f.name: artifact[f.name]
+        for f in fields(NemesisRunner) if f.init and f.name in artifact
+    })
     return runner, schedule_from_dict(artifact["schedule"]), artifact
 
 

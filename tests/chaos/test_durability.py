@@ -14,6 +14,7 @@ from repro.chaos.shrink import (
     logical_faults,
     run_artifact,
     save_artifact,
+    shrink,
 )
 from repro.core.client import ChtCluster
 from repro.core.config import ChtConfig
@@ -114,32 +115,39 @@ class TestVerdicts:
             NemesisRunner(system="multipaxos", durability=True)
 
     def test_durable_schedule_passes_on_serial_cht(self):
-        gen = ScheduleGenerator(n=5, num_clients=2, seed=0, durability=True)
         runner = NemesisRunner(system="cht", n=5, num_clients=2, seed=0,
                                ops_per_client=4, durability=True)
-        result = runner.run(gen.generate(1))
+        result = runner.run(runner.schedule(1))
         assert result.ok, result
 
     def test_durable_schedule_passes_on_sharded_cluster(self):
-        schedule = ScheduleGenerator(n=5, num_clients=2, seed=0,
-                                     durability=True).generate(1)
         runner = NemesisRunner(system="sharded", n=5, num_clients=2, seed=0,
                                ops_per_client=4, durability=True)
-        result = runner.run(schedule)
+        result = runner.run(runner.schedule(1))
         assert result.ok, result
 
-    def test_planted_fsync_bug_detected_shrunk_and_replayed(self, tmp_path):
-        gen = ScheduleGenerator(n=5, num_clients=2, seed=0, durability=True)
-        runner = NemesisRunner(system="cht", n=5, num_clients=2, seed=0,
+    @pytest.mark.parametrize("system", ["cht", "sharded"])
+    def test_planted_fsync_bug_detected_shrunk_and_replayed(
+        self, system, tmp_path,
+    ):
+        # Same cell on both run paths: the sharded one arms the schedule
+        # on every group and reports per-group invariant failures.
+        runner = NemesisRunner(system=system, n=5, num_clients=2, seed=0,
                                ops_per_client=4, durability=True,
                                bug="skip_promise_fsync")
-        result = runner.run(gen.generate(0))
+        schedule = runner.schedule(0)
+        result = runner.run(schedule)
         assert not result.ok
         assert result.kind == "invariant"
         assert "promise regressed" in result.detail
 
+        small, small_result = shrink(runner, schedule, result, budget=20)
+        assert small_result.kind == "invariant"
+        assert len(logical_faults(small)) <= 3
+
         path = str(tmp_path / "repro.json")
-        artifact = save_artifact(path, runner, gen.generate(0), result)
+        artifact = save_artifact(path, runner, small, small_result)
+        assert artifact["system"] == system
         assert artifact["durability"] is True
         loaded_runner, loaded_schedule, loaded = load_artifact(path)
         assert loaded_runner.durability is True

@@ -1,5 +1,8 @@
 """Schedule generation: determinism, structural constraints, serialization."""
 
+import json
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,20 @@ from repro.chaos.generator import (
     schedule_to_dict,
 )
 from repro.chaos.nemesis import NemesisRunner
+from repro.sim.failures import (
+    ClockDesync,
+    Crash,
+    CrashRestart,
+    DelayBurstWindow,
+    DiskFaultWindow,
+    DuplicationWindow,
+    FaultSchedule,
+    LeaderCrash,
+    LossWindow,
+    OneWayPartitionWindow,
+    PartitionWindow,
+    Recover,
+)
 
 
 def test_generator_rejects_tiny_clusters():
@@ -100,17 +117,62 @@ def test_serialization_roundtrip():
         assert rebuilt.fault_count() == schedule.fault_count()
 
 
+def test_every_fault_kind_encodes_to_a_pinned_dict_and_back():
+    # Open-ended windows (end=inf) must become JSON null and come back
+    # as inf; a permanent desync (end=None) must stay None.
+    schedule = FaultSchedule(
+        crashes=[Crash(pid=1, at=10.0)],
+        recoveries=[Recover(pid=1, at=20.0)],
+        leader_crashes=[LeaderCrash(at=30.0, downtime=40.0)],
+        crash_restarts=[CrashRestart(pid=2, at=50.0, downtime=60.0)],
+        disk_faults=[DiskFaultWindow(pid=0, kind="slow", start=1.0,
+                                     end=2.0, low=3.0, high=4.0)],
+        partitions=[PartitionWindow(frozenset({2, 0}), frozenset({1}),
+                                    start=5.0)],
+        one_way_partitions=[OneWayPartitionWindow(frozenset({1}),
+                                                  frozenset({2, 0}),
+                                                  start=6.0)],
+        losses=[LossWindow(start=7.0, end=8.0, prob=0.25)],
+        duplications=[DuplicationWindow(start=9.0, end=10.0, prob=0.5)],
+        delay_bursts=[DelayBurstWindow(start=11.0, end=12.0, low=13.0,
+                                       high=14.0)],
+        desyncs=[ClockDesync(pid=0, start=15.0, jump=16.0)],
+    )
+    # A new fault kind must be added here too.
+    assert all(getattr(schedule, f.name) for f in fields(FaultSchedule))
+    expected = {
+        "crashes": [{"pid": 1, "at": 10.0}],
+        "recoveries": [{"pid": 1, "at": 20.0}],
+        "leader_crashes": [{"at": 30.0, "downtime": 40.0}],
+        "crash_restarts": [{"pid": 2, "at": 50.0, "downtime": 60.0}],
+        "disk_faults": [{"pid": 0, "kind": "slow", "start": 1.0,
+                         "end": 2.0, "low": 3.0, "high": 4.0}],
+        "partitions": [{"group_a": [0, 2], "group_b": [1], "start": 5.0,
+                        "end": None}],
+        "one_way_partitions": [{"from_group": [1], "to_group": [0, 2],
+                                "start": 6.0, "end": None}],
+        "losses": [{"start": 7.0, "end": 8.0, "prob": 0.25}],
+        "duplications": [{"start": 9.0, "end": 10.0, "prob": 0.5}],
+        "delay_bursts": [{"start": 11.0, "end": 12.0, "low": 13.0,
+                          "high": 14.0}],
+        "desyncs": [{"pid": 0, "start": 15.0, "jump": 16.0, "end": None}],
+    }
+    data = schedule_to_dict(schedule)
+    assert data == expected
+    wire = json.loads(json.dumps(data, allow_nan=False))
+    assert schedule_from_dict(wire) == schedule
+
+
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), index=st.integers(0, 100))
 def test_healed_schedules_reelect_leader_and_drain_ops(seed, index):
     """Any generated schedule, once healed, lets the cluster re-elect a
     leader and drain every pending operation (the nemesis's ok verdict
     asserts exactly that, plus invariants and linearizability)."""
-    generator = ScheduleGenerator(n=3, num_clients=1, seed=seed)
     runner = NemesisRunner(
         system="cht", n=3, num_clients=1, seed=seed, ops_per_client=3
     )
-    result = runner.run(generator.generate(index))
+    result = runner.run(runner.schedule(index))
     assert result.ok, result
 
 

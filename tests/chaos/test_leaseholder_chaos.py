@@ -3,7 +3,6 @@ verdicts, the planted stale-read bug, and repro artifacts."""
 
 import pytest
 
-from repro.chaos.cli import _build
 from repro.chaos.generator import ScheduleGenerator, schedule_to_dict
 from repro.chaos.nemesis import NemesisRunner
 from repro.chaos.shrink import load_artifact, run_artifact, save_artifact, shrink
@@ -56,12 +55,11 @@ class TestGeneration:
         assert saw_partition, "no leaseholder partition in 10 schedules"
 
     def test_leaseholder_base_override_for_sharded_groups(self):
-        generator = ScheduleGenerator(n=5, num_clients=2, seed=0,
-                                      num_leaseholders=2,
-                                      leaseholder_base=8)
+        runner = NemesisRunner(system="sharded", n=5, num_clients=2, seed=0,
+                               num_leaseholders=2)
         pids = set()
         for index in range(10):
-            schedule = generator.generate(index)
+            schedule = runner.schedule(index)
             pids |= {c.pid for c in schedule.crashes if c.pid >= 7}
             for window in schedule.partitions:
                 pids |= {p for p in window.group_a if p >= 7}
@@ -78,9 +76,9 @@ class TestPidLayout:
     def test_generated_pids_are_the_leaseholders_the_runner_builds(
         self, system, groups, monkeypatch,
     ):
-        generator, runner = _build(system=system, n=3, clients=2,
-                                   horizon=1000.0, seed=0, ops_per_client=1,
-                                   num_leaseholders=2)
+        runner = NemesisRunner(system=system, n=3, num_clients=2,
+                               horizon=1000.0, seed=0, ops_per_client=1,
+                               num_leaseholders=2)
         built = {}
         start = ChtCluster.start
 
@@ -89,14 +87,14 @@ class TestPidLayout:
             return start(cluster)
 
         monkeypatch.setattr(ChtCluster, "start", recording_start)
-        runner.run(generator.generate(0))
+        runner.run(runner.schedule(0))
         assert sorted(built, key=str) == groups
 
-        tier = set(range(generator.leaseholder_base,
-                         generator.leaseholder_base + 2))
+        tier = set(range(runner.leaseholder_base,
+                         runner.leaseholder_base + 2))
         drawn = set()
         for index in range(10):
-            drawn |= {c.pid for c in generator.generate(index).crashes
+            drawn |= {c.pid for c in runner.schedule(index).crashes
                       if c.pid >= runner.n}
         assert drawn, "no leaseholder crashes drawn"
         for site in groups:
@@ -132,21 +130,16 @@ class TestArming:
 
 class TestVerdicts:
     def test_leaseholder_schedules_pass_on_serial_cht(self):
-        generator = ScheduleGenerator(n=3, num_clients=2, seed=5,
-                                      num_leaseholders=2)
         runner = NemesisRunner(system="cht", n=3, num_clients=2, seed=5,
                                ops_per_client=4, num_leaseholders=2)
         for index in range(2):
-            result = runner.run(generator.generate(index))
+            result = runner.run(runner.schedule(index))
             assert result.ok, f"schedule {index}: {result}"
 
     def test_leaseholder_schedule_passes_on_sharded_cluster(self):
-        schedule = ScheduleGenerator(n=5, num_clients=2, seed=0,
-                                     num_leaseholders=2,
-                                     leaseholder_base=8).generate(1)
         runner = NemesisRunner(system="sharded", n=5, num_clients=2, seed=0,
                                ops_per_client=4, num_leaseholders=2)
-        result = runner.run(schedule)
+        result = runner.run(runner.schedule(1))
         assert result.ok, result
 
 
@@ -156,12 +149,10 @@ class TestPlantedBug:
         # past an unresponsive holder; a partitioned holder's still-valid
         # lease then serves a stale local read, and the verdict is a
         # linearizability violation — not a crash, not an invariant trip.
-        generator = ScheduleGenerator(n=5, num_clients=2, seed=0,
-                                      num_leaseholders=2)
         runner = NemesisRunner(system="cht", n=5, num_clients=2, seed=0,
                                ops_per_client=6, num_leaseholders=2,
                                bug="skip_lease_shrink")
-        schedule = generator.generate(3)
+        schedule = runner.schedule(3)
         result = runner.run(schedule)
         assert not result.ok
         assert result.kind == "linearizability", result
@@ -180,20 +171,17 @@ class TestPlantedBug:
         assert reproduced, replay
 
     def test_unbugged_run_of_the_same_cell_is_clean(self):
-        generator = ScheduleGenerator(n=5, num_clients=2, seed=0,
-                                      num_leaseholders=2)
         runner = NemesisRunner(system="cht", n=5, num_clients=2, seed=0,
                                ops_per_client=6, num_leaseholders=2)
-        result = runner.run(generator.generate(3))
+        result = runner.run(runner.schedule(3))
         assert result.ok, result
 
 
 class TestArtifacts:
     def test_old_artifacts_without_the_key_default_to_zero(self, tmp_path):
-        generator = ScheduleGenerator(n=3, num_clients=1, seed=1)
         runner = NemesisRunner(system="cht", n=3, num_clients=1, seed=1,
                                ops_per_client=3)
-        schedule = generator.generate(0)
+        schedule = runner.schedule(0)
         result = runner.run(schedule)
         path = str(tmp_path / "repro.json")
         artifact = save_artifact(path, runner, schedule, result)

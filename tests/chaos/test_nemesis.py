@@ -1,8 +1,9 @@
 """The nemesis runner: verdicts, determinism, and the mini soak."""
 
+import pickle
+
 import pytest
 
-from repro.chaos.generator import ScheduleGenerator
 from repro.chaos.nemesis import SYSTEMS, NemesisRunner, last_disruption
 from repro.sim.failures import (
     ClockDesync,
@@ -19,6 +20,16 @@ from repro.sim.failures import (
 def test_unknown_system_rejected():
     with pytest.raises(ValueError, match="unknown system"):
         NemesisRunner(system="raft")
+
+
+def test_a_runner_that_ran_still_pickles_as_its_description():
+    # Soak and bench cells ship runners to pool workers; a runner that
+    # already ran in the parent holds an unpicklable ObsContext.
+    runner = NemesisRunner(system="cht", n=3, num_clients=1, ops_per_client=2)
+    runner.run(FaultSchedule())
+    assert runner.last_obs is not None
+    clone = pickle.loads(pickle.dumps(runner))
+    assert clone == runner and clone.last_obs is None
 
 
 def test_last_disruption_covers_every_fault_family():
@@ -54,19 +65,18 @@ def test_empty_schedule_run_is_clean():
 
 def test_mini_soak_passes_for_every_system():
     for system in SYSTEMS:
-        generator = ScheduleGenerator(n=3, num_clients=1, seed=5)
         runner = NemesisRunner(
             system=system, n=3, num_clients=1, seed=5, ops_per_client=3
         )
         for index in range(3):
-            result = runner.run(generator.generate(index))
+            result = runner.run(runner.schedule(index))
             assert result.ok, f"{system} schedule {index}: {result}"
 
 
 def test_runs_are_deterministic():
-    schedule = ScheduleGenerator(n=3, num_clients=1, seed=9).generate(1)
     runner = NemesisRunner(system="cht", n=3, num_clients=1, seed=9,
                            ops_per_client=3)
+    schedule = runner.schedule(1)
     first = runner.run(schedule)
     second = runner.run(schedule)
     assert (first.ok, first.kind, first.ops_completed) == (
@@ -98,10 +108,9 @@ def test_planted_bug_produces_failing_verdict():
     # the first few schedules.
     runner = NemesisRunner(system="cht", n=5, num_clients=2, seed=0,
                            bug="skip_reply_cache")
-    generator = ScheduleGenerator(n=5, num_clients=2, seed=0)
     kinds = []
     for index in range(3):
-        result = runner.run(generator.generate(index))
+        result = runner.run(runner.schedule(index))
         if not result.ok:
             kinds.append(result.kind)
             break

@@ -2,8 +2,10 @@
 
 import json
 
+import pytest
+
 from repro.chaos.cli import main
-from repro.chaos.generator import ScheduleGenerator, schedule_to_dict
+from repro.chaos.generator import schedule_to_dict
 from repro.chaos.nemesis import NemesisRunner
 from repro.chaos.shrink import (
     logical_faults,
@@ -34,16 +36,16 @@ def test_logical_faults_pair_crash_with_recovery():
 
 def test_shrink_respects_zero_budget():
     runner = NemesisRunner(system="cht", n=3, num_clients=1, ops_per_client=2)
-    schedule = ScheduleGenerator(n=3, num_clients=1).generate(0)
+    schedule = runner.schedule(0)
     failure_stub = runner.run(FaultSchedule())  # ok result; kind None
     small, result = shrink(runner, schedule, failure_stub, budget=0)
     assert schedule_to_dict(small) == schedule_to_dict(schedule)
     assert result is failure_stub
 
 
-def _first_failure(runner, generator, limit=5):
+def _first_failure(runner, limit=5):
     for index in range(limit):
-        schedule = generator.generate(index)
+        schedule = runner.schedule(index)
         result = runner.run(schedule)
         if not result.ok:
             return schedule, result
@@ -53,8 +55,7 @@ def _first_failure(runner, generator, limit=5):
 def test_planted_bug_shrinks_small_and_reproduces(tmp_path):
     runner = NemesisRunner(system="cht", n=5, num_clients=2, seed=0,
                            bug="skip_reply_cache")
-    generator = ScheduleGenerator(n=5, num_clients=2, seed=0)
-    schedule, failure = _first_failure(runner, generator)
+    schedule, failure = _first_failure(runner)
 
     small, small_result = shrink(runner, schedule, failure, budget=150)
     assert not small_result.ok and small_result.kind == failure.kind
@@ -181,3 +182,59 @@ def test_sharded_soak_cli_passes_clean(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "sharded: 2 schedules passed" in out
+
+
+@pytest.mark.parametrize("content,problem", [
+    (None, "No such file or directory"),
+    ("{not json", "not a repro artifact"),
+    ('{"version": 99}', "unsupported artifact version 99"),
+])
+def test_repro_cli_reports_unusable_artifacts(tmp_path, capsys, content,
+                                              problem):
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["repro", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1, out
+    assert str(path) in out and problem in out, out
+
+
+@pytest.mark.parametrize("flags,problem", [
+    (["--n", "2"], "n >= 3"),
+    (["--systems", "raft"], "unknown system"),
+    (["--systems", "cht,multipaxos", "--durability"], "durable-storage"),
+    (["--systems", "multipaxos", "--leaseholders", "1"], "lease machinery"),
+])
+def test_soak_cli_reports_invalid_runs(capsys, flags, problem):
+    assert main(["soak", "--schedules", "1", *flags]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and problem in out, out
+
+
+def test_planted_bug_soak_is_identical_serial_and_parallel(
+    tmp_path, monkeypatch, capsys,
+):
+    # Cells are (runner, index) pairs pickled to forked workers; the
+    # verdict stream, the shrunken artifact and its metrics sidecar must
+    # not depend on that.
+    runs = {}
+    for workers in ("1", "2"):
+        run_dir = tmp_path / f"workers{workers}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        code = main([
+            "soak", "--schedules", "3", "--systems", "cht", "--n", "5",
+            "--clients", "2", "--ops-per-client", "4", "--durability",
+            "--bug", "skip_promise_fsync", "--seed", "0",
+            "--shrink-budget", "10", "--workers", workers,
+            "--artifact", "repro.json",
+        ])
+        assert code == 1
+        runs[workers] = (
+            capsys.readouterr().out,
+            (run_dir / "repro.json").read_bytes(),
+            (run_dir / "repro.metrics.json").read_bytes(),
+        )
+    assert "FAIL system=cht seed=0 schedule=0 kind=invariant" in runs["1"][0]
+    assert runs["1"] == runs["2"]

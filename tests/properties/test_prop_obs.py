@@ -15,7 +15,6 @@ nemesis verdict — making this a combined chaos + observability pin.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.generator import ScheduleGenerator
 from repro.chaos.nemesis import NemesisRunner
 
 
@@ -25,15 +24,11 @@ from repro.chaos.nemesis import NemesisRunner
 )
 @settings(max_examples=15, deadline=None, derandomize=True)
 def test_every_batch_span_terminates(seed, index):
-    generator = ScheduleGenerator(
-        n=5, num_clients=2, horizon=1500.0, seed=seed
-    )
-    schedule = generator.generate(index)
     runner = NemesisRunner(
         system="cht", n=5, num_clients=2, seed=seed,
         horizon=1500.0, ops_per_client=3,
     )
-    result = runner.run(schedule)
+    result = runner.run(runner.schedule(index))
     assert result.ok, f"{result.kind}: {result.detail}"
 
     obs = runner.last_obs

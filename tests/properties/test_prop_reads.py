@@ -15,7 +15,6 @@ blocks at most ``3 * delta``, and the merged history linearizes.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.generator import ScheduleGenerator
 from repro.chaos.nemesis import NemesisRunner
 from repro.core.client import ChtCluster
 from repro.core.config import ChtConfig
@@ -35,15 +34,11 @@ def soak_cells(draw):
 @settings(max_examples=12, deadline=None, derandomize=True)
 def test_local_reads_stay_linearizable_under_healing_chaos(cell):
     seed, index, num_leaseholders = cell
-    generator = ScheduleGenerator(
-        n=3, num_clients=2, seed=seed,
-        num_leaseholders=num_leaseholders,
-    )
     runner = NemesisRunner(
         system="cht", n=3, num_clients=2, seed=seed, ops_per_client=4,
         num_leaseholders=num_leaseholders, obs=False,
     )
-    result = runner.run(generator.generate(index))
+    result = runner.run(runner.schedule(index))
     assert result.kind != "linearizability", result
     assert result.kind != "invariant", result
     assert result.ok or result.kind == "undecided", result

@@ -21,8 +21,9 @@ def test_empty_schedule_sharded_run_is_clean():
 
 
 def test_sharded_runs_are_deterministic():
-    schedule = ScheduleGenerator(n=3, num_clients=2, seed=3).generate(0)
-    first = make_runner(seed=3).run(schedule)
+    runner = make_runner(seed=3)
+    schedule = runner.schedule(0)
+    first = runner.run(schedule)
     second = make_runner(seed=3).run(schedule)
     assert (first.ok, first.kind, first.ops_completed) == (
         second.ok, second.kind, second.ops_completed
@@ -30,10 +31,9 @@ def test_sharded_runs_are_deterministic():
 
 
 def test_mini_sharded_soak_with_handoffs():
-    generator = ScheduleGenerator(n=3, num_clients=2, seed=1)
     runner = make_runner(seed=1, handoffs=2)
     for index in range(3):
-        result = runner.run(generator.generate(index))
+        result = runner.run(runner.schedule(index))
         assert result.ok, f"schedule {index}: {result}"
 
 
