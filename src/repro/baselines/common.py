@@ -14,7 +14,7 @@ experiments can drive any system uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Optional, Sequence, Type
+from typing import Any, Callable, Iterable, Optional, Sequence, Type
 
 from ..core.client import ClientSession
 from ..core.messages import ClientReply, ClientRequest
@@ -25,7 +25,7 @@ from ..sim.core import Simulator
 from ..sim.latency import DelayModel
 from ..sim.network import Network
 from ..sim.process import Process
-from ..sim.tasks import Future, Until
+from ..sim.tasks import Future
 from ..sim.trace import RunStats
 from ..verify.history import History
 
@@ -144,19 +144,6 @@ class BaseReplica(Process):
     def accept_client_op(self, instance: OpInstance) -> None:
         """Admit a fresh session operation.  Subclasses override."""
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Shared wait helper (same semantics as the CHT replica's)
-    # ------------------------------------------------------------------
-    def wait_for(
-        self, predicate: Callable[[], bool], timeout: Optional[float] = None
-    ) -> Generator:
-        if timeout is None:
-            yield Until(predicate)
-            return
-        deadline = self.local_time + max(timeout, 0.0)
-        self.set_timer(max(timeout, 0.0), lambda: None)
-        yield Until(lambda: predicate() or self.local_time >= deadline)
 
     def on_crash(self) -> None:
         self.op_futures = {}

@@ -31,7 +31,7 @@ from ..sim.core import Simulator
 from ..sim.latency import DelayModel
 from ..sim.network import Network
 from ..sim.process import Process
-from ..sim.tasks import Future, Until
+from ..sim.tasks import Future
 from ..sim.trace import RunStats
 from ..leader.omega import OracleOmega
 from ..verify.history import History
@@ -56,9 +56,9 @@ class ClientSession(Process):
     latest ``(seq, response)`` per session and still give exactly-once
     semantics.
 
-    Sessions share the cluster's network, so they also receive protocol
-    broadcasts (heartbeats, Prepare/Commit, lease grants); everything
-    except a :class:`ClientReply` addressed to this session is ignored.
+    A session is not a protocol member: broadcasts (heartbeats,
+    Prepare/Commit, lease grants) never reach it, and the only message
+    it acts on is a :class:`ClientReply` addressed to it.
 
     ``read_targets`` routes *reads* separately from RMWs: when given
     (the cluster passes the leaseholder tier first, replicas after, so a
@@ -67,6 +67,8 @@ class ClientSession(Process):
     through the replicas.  Without it, reads follow the RMW rotation
     exactly as before.
     """
+
+    member = False
 
     def __init__(
         self,
@@ -131,10 +133,8 @@ class ClientSession(Process):
                 self.send(self._target, msg)
             else:
                 self.send(targets[attempt % len(targets)], msg)
-            deadline = self.local_time + self.retry_period
-            self.set_timer(self.retry_period, _session_noop)
-            yield Until(
-                lambda: future.done or self.local_time >= deadline
+            yield from self.wait_for(
+                lambda: future.done, timeout=self.retry_period
             )
             if not future.done:
                 if targets is None:
@@ -148,12 +148,7 @@ class ClientSession(Process):
             future = self._futures.get(msg.seq)
             if future is not None and not future.done:
                 future.resolve(msg.value)
-        # Anything else is replica-to-replica protocol traffic that the
-        # broadcast primitive also delivered here; sessions ignore it.
-
-
-def _session_noop() -> None:
-    """Shared wake-up timer callback for session retransmission waits."""
+        # Anything else is a late or duplicate reply; sessions ignore it.
 
 
 class ChtCluster:

@@ -4,10 +4,11 @@ A :class:`Leaseholder` is the paper's answer to read scale-out: a process
 that *never* joins quorums — it holds no estimate, makes no promises, and
 does not count toward any majority — yet serves linearizable reads
 entirely from local state under a read lease.  Because the leader's
-Prepare/Commit/LeaseGrant broadcasts already reach every registered
-process, attaching L leaseholders adds only their PrepareAcks and the
-grant fan-out: Θ(n + L) messages per renewal interval, independent of the
-read rate (tests/core/test_lease_complexity.py pins the linearity).
+Prepare/Commit/LeaseGrant broadcasts already reach every protocol member
+(leaseholders included; client sessions never), attaching L leaseholders
+adds only their PrepareAcks and the grant fan-out: Θ(n + L) messages per
+renewal interval, independent of the read rate and of the number of
+clients (tests/core/test_lease_complexity.py pins both).
 
 The protocol surface is deliberately small:
 
@@ -45,7 +46,6 @@ from typing import Any, Generator, Optional
 from ..objects.spec import ObjectSpec
 from ..net.runtime import Runtime
 from ..sim.process import Process
-from ..sim.tasks import Until
 from ..sim.trace import RunStats
 from .config import ChtConfig
 from .messages import (
@@ -63,10 +63,6 @@ from .readpath import LocalReadMixin
 from .state import ReadLease
 
 __all__ = ["Leaseholder"]
-
-
-def _noop() -> None:
-    """Shared timer callback for pure wake-up timers (see ``_wait``)."""
 
 
 class Leaseholder(LocalReadMixin, Process):
@@ -333,23 +329,12 @@ class Leaseholder(LocalReadMixin, Process):
                 if not missing:
                     return
                 self.broadcast(BatchRequest(frozenset(missing)))
-                yield from self._wait(
+                yield from self.wait_for(
                     lambda: all(j in self.batches for j in missing),
                     timeout=self.config.retry_period,
                 )
         finally:
             self._fetching = False
-
-    # ==================================================================
-    # Utilities
-    # ==================================================================
-    def _wait(self, predicate, timeout: Optional[float] = None) -> Generator:
-        if timeout is None:
-            yield Until(predicate)
-            return
-        deadline = self.local_time + max(timeout, 0.0)
-        self.set_timer(max(timeout, 0.0), _noop)
-        yield Until(lambda: predicate() or self.local_time >= deadline)
 
     def __repr__(self) -> str:
         status = "crashed" if self.crashed else (

@@ -41,7 +41,7 @@ from ..durable.wal import BatchRec, EstimateRec, PromiseRec, SeqReserve, SnapRec
 from ..objects.spec import NOOP, ObjectSpec, Operation, OpInstance
 from ..net.runtime import Runtime
 from ..sim.process import Process
-from ..sim.tasks import Future, Sleep, Until
+from ..sim.tasks import Future, Sleep
 from ..sim.trace import RunStats
 from ..leader.enhanced import EnhancedLeaderService
 from ..leader.omega import HeartbeatOmega, OmegaDetector
@@ -67,10 +67,6 @@ from .messages import (
 from .state import COMPACTED, ReadLease, Tenure
 
 __all__ = ["ChtReplica", "CommitRecord"]
-
-
-def _noop() -> None:
-    """Shared timer callback for pure wake-up timers (see ``_wait``)."""
 
 
 class CommitRecord:
@@ -405,7 +401,7 @@ class ChtReplica(LocalReadMixin, Process):
                 self._enqueue_submission(instance)
             else:
                 self.send(target, SubmitOp(instance))
-            yield from self._wait(
+            yield from self.wait_for(
                 lambda: future.done, timeout=self.config.retry_period
             )
 
@@ -558,7 +554,7 @@ class ChtReplica(LocalReadMixin, Process):
                 self._est_replies.pop(t, None)
                 return None
             self.broadcast(EstReq(t))
-            yield from self._wait(enough, timeout=cfg.retry_period)
+            yield from self.wait_for(enough, timeout=cfg.retry_period)
         return self._est_replies.pop(t)
 
     def _freshest_estimate(
@@ -605,7 +601,7 @@ class ChtReplica(LocalReadMixin, Process):
                 )
                 return not missing
 
-            yield from self._wait(all_arrived, timeout=cfg.retry_period)
+            yield from self.wait_for(all_arrived, timeout=cfg.retry_period)
 
     def _leader_loop(self, t: float) -> Generator:
         """The leader's continuing tasks (lines 39-51): renew read leases,
@@ -640,7 +636,7 @@ class ChtReplica(LocalReadMixin, Process):
                     deadline, self._queue_since + cfg.batch_window
                 )
             timeout = max(deadline - self.local_time, cfg.leader_loop_period)
-            yield from self._wait(self._batch_ready, timeout=timeout)
+            yield from self.wait_for(self._batch_ready, timeout=timeout)
 
     def _drain_queue(self) -> Optional[frozenset]:
         """Take the queued submissions for the next batch, or None while
@@ -776,7 +772,8 @@ class ChtReplica(LocalReadMixin, Process):
                 if not self.leader_service.am_leader(t, self.local_time):
                     return False
                 self.broadcast(Prepare(ops, t, j, prev))
-                yield from self._wait(majority_acked, timeout=cfg.retry_period)
+                yield from self.wait_for(majority_acked,
+                                         timeout=cfg.retry_period)
 
             if span is not None:
                 span.mark("acked_at", self.now)
@@ -796,7 +793,7 @@ class ChtReplica(LocalReadMixin, Process):
                 return holders <= acks
 
             if not holders_acked():
-                yield from self._wait(
+                yield from self.wait_for(
                     holders_acked,
                     timeout=max(two_delta_deadline - self.local_time, beta),
                 )
@@ -815,7 +812,7 @@ class ChtReplica(LocalReadMixin, Process):
                 last_ts = tenure.last_lease_ts if tenure.last_lease_ts is not None else t
                 expiry = max(t, last_ts) + cfg.lease_period + cfg.epsilon
                 if self.local_time <= expiry:
-                    yield from self._wait(
+                    yield from self.wait_for(
                         lambda: self.local_time > expiry,
                         timeout=expiry - self.local_time + cfg.leader_loop_period,
                     )
@@ -1263,7 +1260,7 @@ class ChtReplica(LocalReadMixin, Process):
                 if not missing:
                     return
                 self.broadcast(BatchRequest(frozenset(missing)))
-                yield from self._wait(
+                yield from self.wait_for(
                     lambda: all(j in self.batches for j in missing),
                     timeout=self.config.retry_period,
                 )
@@ -1273,17 +1270,6 @@ class ChtReplica(LocalReadMixin, Process):
     # ==================================================================
     # Utilities
     # ==================================================================
-    def _wait(self, predicate, timeout: Optional[float] = None) -> Generator:
-        """Suspend until ``predicate()`` or (when given) a local-time
-        timeout elapses.  The timer guarantees re-evaluation at the
-        deadline even if no other event wakes this process."""
-        if timeout is None:
-            yield Until(predicate)
-            return
-        deadline = self.local_time + max(timeout, 0.0)
-        self.set_timer(max(timeout, 0.0), _noop)
-        yield Until(lambda: predicate() or self.local_time >= deadline)
-
     def is_leader(self) -> bool:
         """Is this process currently an initialized leader?"""
         tenure = self.tenure

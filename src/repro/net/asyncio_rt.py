@@ -196,9 +196,9 @@ class AsyncioRuntime(Runtime):
         self.reconnect_min = reconnect_min
         self.reconnect_max = reconnect_max
         self.queue_limit = queue_limit
-        # Broadcast set: protocol-visible fan-out targets (all replicas
-        # and leaseholders).  Matches the simulator's Network.broadcast
-        # minus the clients, which only ever receive directed replies.
+        # Broadcast set: the protocol members (all replicas and
+        # leaseholders), as in the simulator's Network.broadcast.
+        # Clients are never members; they receive only directed replies.
         self.broadcast_pids = (
             sorted(broadcast_pids) if broadcast_pids is not None
             else sorted(self.peers)

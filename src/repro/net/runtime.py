@@ -41,7 +41,10 @@ The contract is deliberately small:
     ``process.deliver(src, msg)`` on the registered destination; both
     substrates guarantee FIFO per ordered pair and may drop messages
     (pre-GST loss in the simulator, disconnects/backpressure on TCP) —
-    every protocol loop already retransmits.
+    every protocol loop already retransmits.  ``broadcast`` reaches
+    the protocol members (replicas and leaseholders) other than the
+    sender, never a client session: clients receive only directed
+    sends.
 ``schedule_at(real_time, callback, *args)``
     A cancellable timer at an absolute ``now``-scale time.
 ``fork_rng(label)``

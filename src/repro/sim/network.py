@@ -211,7 +211,10 @@ class Network(Runtime):
         # sequence is unchanged; see DelayModel.presample).
         self._delay_buf: list[float] = []
         self._delay_idx = 0
-        self._pids_sorted: list[int] = []
+        # Broadcast targets: the protocol members (Process.member) in pid
+        # order.  Client sessions register too, but only for directed
+        # sends.
+        self._members: list[int] = []
         self._category_of: dict[type, str] = {}
 
     # ------------------------------------------------------------------
@@ -244,7 +247,8 @@ class Network(Runtime):
         if process.pid in self.processes:
             raise SimulationError(f"process {process.pid} already registered")
         self.processes[process.pid] = process
-        self._pids_sorted = sorted(self.processes)
+        if process.member:
+            self._members = sorted(self._members + [process.pid])
 
     def add_partition(
         self, group_a: frozenset[int], group_b: frozenset[int], start: float,
@@ -367,8 +371,9 @@ class Network(Runtime):
         process.deliver(src, msg)
 
     def broadcast(self, src: int, msg: Any) -> None:
-        """Send ``msg`` to every process except ``src``."""
-        for pid in self._pids_sorted:
+        """Send ``msg`` to every protocol member except ``src``; client
+        sessions are not members and receive only directed sends."""
+        for pid in self._members:
             if pid != src:
                 self.send(src, pid, msg)
 

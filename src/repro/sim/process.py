@@ -21,7 +21,7 @@ locks.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Optional
 
 from ..net.runtime import Runtime, TimerHandle
 from .tasks import Future, Sleep, Task, Until
@@ -35,6 +35,11 @@ _MAX_WAKE_ROUNDS = 1000
 
 class Process:
     """Base class for all protocol processes, on any runtime."""
+
+    #: Protocol members (replicas, leaseholders) receive broadcasts.  A
+    #: non-member — an external client session — receives only the
+    #: messages sent to it directly.
+    member = True
 
     def __init__(self, pid: int, runtime: Runtime) -> None:
         self.pid = pid
@@ -179,6 +184,28 @@ class Process:
             raise TypeError(
                 f"task {task.name!r} yielded unsupported value {yielded!r}"
             )
+
+    def wait_for(
+        self, predicate: Callable[[], bool], timeout: Optional[float] = None
+    ) -> Generator:
+        """Suspend the calling task (``yield from``) until ``predicate()``
+        holds or, when given, ``timeout`` local-time units have passed.
+
+        A timer re-polls the task at the deadline even if no other event
+        wakes this process, and its firing ends the wait by itself: the
+        deadline's round trip through real time can land one ulp short
+        of it, so ``local_time >= deadline`` may still be false then.
+        """
+        if timeout is None:
+            yield Until(predicate)
+            return
+        timeout = max(timeout, 0.0)
+        deadline = self.local_time + timeout
+        fired: list[bool] = []
+        self.set_timer(timeout, fired.append, True)
+        yield Until(
+            lambda: predicate() or fired or self.local_time >= deadline
+        )
 
     def _arm_sleep(self, task: Task, duration: float) -> None:
         self.set_timer(duration, self._wake_from_sleep, task)

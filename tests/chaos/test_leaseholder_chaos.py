@@ -149,10 +149,11 @@ class TestPlantedBug:
         # past an unresponsive holder; a partitioned holder's still-valid
         # lease then serves a stale local read, and the verdict is a
         # linearizability violation — not a crash, not an invariant trip.
+        # Schedule 12 is the only one of the first 30 that catches it.
         runner = NemesisRunner(system="cht", n=5, num_clients=2, seed=0,
                                ops_per_client=6, num_leaseholders=2,
                                bug="skip_lease_shrink")
-        schedule = runner.schedule(3)
+        schedule = runner.schedule(12)
         result = runner.run(schedule)
         assert not result.ok
         assert result.kind == "linearizability", result
@@ -173,7 +174,7 @@ class TestPlantedBug:
     def test_unbugged_run_of_the_same_cell_is_clean(self):
         runner = NemesisRunner(system="cht", n=5, num_clients=2, seed=0,
                                ops_per_client=6, num_leaseholders=2)
-        result = runner.run(runner.schedule(3))
+        result = runner.run(runner.schedule(12))
         assert result.ok, result
 
 

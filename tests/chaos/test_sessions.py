@@ -3,10 +3,16 @@
 import pytest
 
 from repro.baselines.multipaxos import PaxosCluster
-from repro.core.client import ChtCluster
+from repro.core.client import ChtCluster, ClientSession
 from repro.core.config import ChtConfig
 from repro.core.messages import ClientReply, ClientRequest
 from repro.objects.kvstore import KVStoreSpec, get, increment, put
+from repro.sim.clocks import ClockModel
+from repro.sim.core import Simulator
+from repro.sim.latency import FixedDelay
+from repro.sim.network import Network
+from repro.sim.process import Process
+from repro.sim.trace import RunStats
 
 
 def cht_cluster(seed=2, n=3, num_clients=1):
@@ -23,6 +29,39 @@ def test_session_op_completes_and_is_visible():
     future = cluster.clients[0].submit(put("x", 7))
     assert cluster.run_until(lambda: future.done, timeout=5_000.0)
     assert cluster.execute(0, get("x")) == 7
+
+
+class Echo(Process):
+    """Answers every client request with ``"ok"``; sends nothing else."""
+
+    def __init__(self, pid, runtime):
+        super().__init__(pid, runtime)
+        self.requests = 0
+
+    def on_message(self, src, msg):
+        self.requests += 1
+        self.send(src, ClientReply(msg.client_id, msg.seq, "ok"))
+
+
+def test_lone_session_retransmits_a_dropped_request():
+    # Nothing but its own retry timer ever wakes this session.  With
+    # this clock offset and submit time the timer fires one ulp below
+    # the retry deadline (local 199.54838640848527 < 199.5483864084853);
+    # the session must retransmit anyway.
+    sim = Simulator(seed=1)
+    clocks = ClockModel(2, epsilon=1.0, offsets=[0.0, -0.09699287990416394])
+    net = Network(sim, delta=10.0, post_gst_delay=FixedDelay(1.0),
+                  clocks=clocks)
+    replica = Echo(0, net)
+    session = ClientSession(1, net, KVStoreSpec(), 1, RunStats(),
+                            retry_period=100.0)
+    net.drop_rule = lambda src, dst, msg, now: now < 100.0  # first request
+    futures = []
+    sim.call_at(99.64537928838946,
+                lambda: futures.append(session.submit(put("x", 1))))
+    sim.run(until=1_000.0)
+    assert replica.requests == 1
+    assert futures[0].done and futures[0].value == "ok"
 
 
 def test_retransmissions_apply_exactly_once_cht():

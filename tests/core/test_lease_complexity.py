@@ -10,7 +10,8 @@ ratio test below separates the two cleanly:
     m(L) = a + b*L^2 (quadratic) => (m16 - m8) / (m8 - m4) = 4
 
 so asserting the ratio stays at most 3 pins the linear regime with slack
-for constant-term noise.
+for constant-term noise.  Client sessions are not protocol members, so
+the renewal traffic must not grow with the number of clients either.
 """
 
 from repro.core.client import ChtCluster
@@ -21,10 +22,11 @@ HOLDER_COUNTS = (4, 8, 16)
 INTERVALS = 20
 
 
-def lease_traffic(num_leaseholders, seed=19, reads=0):
+def lease_traffic(num_leaseholders, seed=19, reads=0, num_clients=0):
     """Lease-category messages over ``INTERVALS`` renewal intervals."""
     cluster = ChtCluster(KVStoreSpec(), ChtConfig(n=5), seed=seed,
-                         num_leaseholders=num_leaseholders)
+                         num_leaseholders=num_leaseholders,
+                         num_clients=num_clients)
     cluster.start()
     cluster.run_until_leader()
     cluster.execute(0, put("x", 1))
@@ -53,8 +55,8 @@ def test_renewal_traffic_grows_linearly_in_holder_count():
 
 
 def test_renewal_traffic_is_per_interval_linear_in_absolute_terms():
-    # One grant broadcast per interval reaches every other process once:
-    # (n - 1) acceptors + clients + L holders.  Allow 2x slack for
+    # One grant broadcast per interval reaches every other protocol
+    # member once: (n - 1) acceptors + L holders.  Allow 2x slack for
     # tenure churn and retransmission, but rule out an extra factor of L.
     for count in HOLDER_COUNTS:
         traffic = lease_traffic(count)
@@ -72,4 +74,18 @@ def test_local_reads_add_no_renewal_traffic():
     assert busy == quiet, (
         "lease traffic must be independent of read volume: "
         f"quiet={quiet} busy={busy}"
+    )
+
+
+def test_renewal_traffic_does_not_depend_on_the_client_count():
+    # The paper's Θ(n) renewal cost counts the processes implementing the
+    # object; clients stay outside that set, so a grant broadcast never
+    # reaches a session and attaching clients adds no lease messages.
+    alone, *crowded = (
+        lease_traffic(4, num_clients=clients) for clients in (0, 4, 16)
+    )
+    assert alone > 0, "no renewal traffic measured"
+    assert crowded == [alone, alone], (
+        "lease traffic must be independent of the client count: "
+        f"0 clients -> {alone}, 4 / 16 clients -> {crowded}"
     )

@@ -1,15 +1,19 @@
 """Transport-conformance battery: one contract, every runtime.
 
 Each test here states a property of the :class:`repro.net.runtime
-.Runtime` contract — delivery, FIFO per ordered pair, timer ordering
-and cancellation, deterministic RNG streams, self-send rejection,
-disconnect/reconnect recovery — and runs it against both substrates
-through one parametrized harness:
+.Runtime` contract — delivery, broadcast to protocol members only,
+FIFO per ordered pair, timer ordering and cancellation, deterministic
+RNG streams, self-send rejection, disconnect/reconnect recovery — and
+runs it against both substrates through one parametrized harness:
 
 * ``sim`` — a bare simulator :class:`Network` (the simulator's
   runtime) with zero clock skew and no faults;
 * ``asyncio`` — one :class:`AsyncioRuntime` per pid, real loopback TCP
   between them, each on its own event-loop thread.
+
+Either harness can also host a client-like :class:`Session` at pid
+``N``: on the simulator it registers on the shared network, on asyncio
+it is a dial-in runtime with no listener, as a real client is.
 
 The battery is what keeps the backends from drifting: a new runtime
 earns its place by passing this file unchanged.
@@ -52,18 +56,29 @@ class Recorder(Process):
         self.received.append((src, msg))
 
 
+class Session(Recorder):
+    """A non-member recorder, like a client session."""
+
+    member = False
+
+
 class SimHarness:
     name = "sim"
 
     def __init__(self):
         self.sim = Simulator(seed=42)
-        self.clocks = ClockModel(N, epsilon=0.0,
+        # One clock beyond the members, for add_session.
+        self.clocks = ClockModel(N + 1, epsilon=0.0,
                                  rng=self.sim.fork_rng("clocks"))
         self.runtime = Network(self.sim, delta=5.0, gst=0.0,
                                clocks=self.clocks)
         self.procs = {
             pid: Recorder(pid, self.runtime) for pid in range(N)
         }
+
+    def add_session(self, pid):
+        self.procs[pid] = Session(pid, self.runtime)
+        return self.procs[pid]
 
     def call(self, pid, fn):
         """Run ``fn()`` in the pid's execution context; return result."""
@@ -98,11 +113,11 @@ class AsyncioHarness:
         for pid in range(N):
             self._start(pid)
 
-    def _start(self, pid):
+    def _start(self, pid, listen=True, kind=Recorder):
         rt = AsyncioRuntime(
             pid,
             peers={p: a for p, a in self.addrs.items() if p != pid},
-            listen=self.addrs[pid],
+            listen=self.addrs[pid] if listen else None,
             epoch=time.time(),
             seed=42,
             broadcast_pids=list(range(N)),
@@ -111,7 +126,11 @@ class AsyncioHarness:
         )
         rt.start_background()
         self.runtimes[pid] = rt
-        self.procs[pid] = rt.build(lambda: Recorder(pid, rt))
+        self.procs[pid] = rt.build(lambda: kind(pid, rt))
+
+    def add_session(self, pid):
+        self._start(pid, listen=False, kind=Session)
+        return self.procs[pid]
 
     def call(self, pid, fn):
         return self.runtimes[pid].call(fn)
@@ -161,6 +180,27 @@ def test_broadcast_reaches_every_other_process(harness):
         lambda: all(len(harness.procs[p].received) == 1 for p in (1, 2))
     )
     assert harness.procs[0].received == []  # never to self
+
+
+def test_session_receives_directed_sends_but_no_broadcast(harness):
+    session = harness.add_session(N)
+    # The session speaks first: over TCP that opens the reverse channel
+    # a dial-in client's replies travel on.
+    harness.call(N, lambda: session.send(0, Note(0)))
+    assert harness.run_until(lambda: len(harness.procs[0].received) == 1)
+
+    def fan_out():
+        harness.procs[0].broadcast(Note(1))
+        harness.procs[0].send(N, Note(2))
+
+    harness.call(0, fan_out)
+    assert harness.run_until(
+        lambda: session.received
+        and all(len(harness.procs[p].received) == 1 for p in (1, 2))
+    )
+    # FIFO per pair: a broadcast copy would have arrived before Note(2).
+    assert session.received == [(0, Note(2))]
+    assert [m for _, m in harness.procs[1].received] == [Note(1)]
 
 
 def test_self_send_is_rejected(harness):

@@ -111,6 +111,26 @@ class TestTasks:
         sim.run()
         assert log == [("hi", 6.0)]
 
+    def test_timed_wait_ends_when_its_timer_fires(self):
+        # A deadline's round trip through real time can land one ulp
+        # short of it: with this offset, a 100-unit wait started at real
+        # 99.64537928838946 has its timer fire at local
+        # 199.54838640848527, below the deadline 199.5483864084853.
+        # Nothing else wakes the process; the timer alone ends the wait.
+        start = 99.64537928838946
+        sim, net, (a, b) = build(epsilon=1.0,
+                                 offsets=[-0.09699287990416394, 0.0])
+        log = []
+
+        def task():
+            deadline = a.local_time + 100.0
+            yield from a.wait_for(lambda: False, timeout=100.0)
+            log.append((sim.now, a.local_time < deadline))
+
+        sim.call_at(start, a.spawn, task())
+        sim.run()
+        assert log == [(pytest.approx(start + 100.0), True)]
+
     def test_future_resume(self):
         sim, net, (a, b) = build()
         future = Future()
